@@ -66,6 +66,14 @@ func cmdWorker(args []string) error {
 	if err != nil {
 		return err
 	}
+	faults := fleet.WorkerFaults{
+		KillRate: *killRate,
+		Seed:     *faultSeed,
+		CrashKey: *crashKey,
+		WedgeKey: *wedgeKey,
+		SlowKey:  *slowKey,
+		Slow:     *slow,
+	}
 	if *connect != "" {
 		return fleet.ServeNet(fleet.NetServeConfig{
 			Addr:               *connect,
@@ -76,14 +84,7 @@ func cmdWorker(args []string) error {
 			HeartbeatMissLimit: *missLimit,
 			ReconnectBackoff:   *reconnectBackoff,
 			MaxDials:           *maxDials,
-			Fault: fleet.WorkerFaults{
-				KillRate: *killRate,
-				Seed:     *faultSeed,
-				CrashKey: *crashKey,
-				WedgeKey: *wedgeKey,
-				SlowKey:  *slowKey,
-				Slow:     *slow,
-			},
+			Fault:              faults,
 		})
 	}
 	return fleet.Serve(fleet.ServeConfig{
@@ -91,13 +92,6 @@ func cmdWorker(args []string) error {
 		Eval:        t,
 		Fingerprint: t.Fingerprint(),
 		Heartbeat:   *heartbeat,
-		Fault: fleet.WorkerFaults{
-			KillRate: *killRate,
-			Seed:     *faultSeed,
-			CrashKey: *crashKey,
-			WedgeKey: *wedgeKey,
-			SlowKey:  *slowKey,
-			Slow:     *slow,
-		},
+		Fault:       faults,
 	})
 }

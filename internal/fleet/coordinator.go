@@ -51,7 +51,9 @@ const (
 	// EventWorkerLost: a worker went silent (missed heartbeats) and was
 	// killed.
 	EventWorkerLost = "worker_lost"
-	// EventWorkerRestart: a dead worker slot respawned its process.
+	// EventWorkerRestart: a worker slot was charged a restart: it
+	// respawned its process, or retired a network connection for a
+	// protocol breach and awaits a fresh one.
 	EventWorkerRestart = "worker_restart"
 	// EventWorkerDead: a worker slot was retired permanently (restart
 	// budget exhausted, spawn failure, or fingerprint mismatch).
@@ -171,8 +173,8 @@ type Config struct {
 	// HeartbeatMisses is how many consecutive silent intervals mark a
 	// worker lost.
 	HeartbeatMisses int
-	// MaxRestarts bounds respawns per worker slot; past it the slot is
-	// retired.
+	// MaxRestarts bounds restart charges per worker slot (respawns, or
+	// network protocol breaches); past it the slot is retired.
 	MaxRestarts int
 	// MinWorkers is the live-capacity floor: when fewer slots remain
 	// serviceable the coordinator degrades — stickily — to in-process
@@ -311,7 +313,8 @@ type Stats struct {
 	Late int64
 	// Exits is the number of worker process deaths (exit + lost).
 	Exits int64
-	// Restarts is the number of worker respawns.
+	// Restarts is the number of restart-budget charges: worker
+	// respawns, plus network connections retired for a protocol breach.
 	Restarts int64
 	// LocalEvals is the number of evaluations answered in-process after
 	// a degrade.
@@ -361,7 +364,7 @@ type slot struct {
 	session     string
 	orphan      *lease
 	orphanTimer *time.Timer
-	netCh       chan *netConn
+	netCh       chan *workerLink
 	netLive     net.Conn
 }
 
@@ -456,7 +459,7 @@ func (c *Coordinator) Start(ctx context.Context, rt Runtime) error {
 	for i := 0; i < c.cfg.Workers; i++ {
 		s := &slot{id: i, state: StateSpawning}
 		if netMode {
-			s.netCh = make(chan *netConn, 1)
+			s.netCh = make(chan *workerLink, 1)
 		}
 		c.slots = append(c.slots, s)
 	}
@@ -502,8 +505,8 @@ func (c *Coordinator) Close() error {
 		}
 		if s.netCh != nil {
 			select {
-			case nc := <-s.netCh:
-				nc.tr.Close()
+			case wl := <-s.netCh:
+				wl.tr.Close()
 			default:
 			}
 		}
@@ -603,7 +606,8 @@ func (c *Coordinator) setState(s *slot, st WorkerState) {
 }
 
 // degrade flips the fleet — once, stickily, and loudly — to in-process
-// evaluation.
+// evaluation. The event goes out before degradedCh closes, so no
+// evaluation answers in-process ahead of its degraded_to_local record.
 func (c *Coordinator) degrade(detail string) {
 	c.mu.Lock()
 	if c.degraded {
@@ -612,10 +616,10 @@ func (c *Coordinator) degrade(detail string) {
 	}
 	c.degraded = true
 	c.detail = detail
-	close(c.degradedCh)
 	c.mu.Unlock()
 	c.rt.Metrics.Gauge(obs.GaugeFleetDegraded).Set(1)
 	c.event(Event{Type: EventDegraded, Worker: -1, Detail: detail})
+	close(c.degradedCh)
 }
 
 func (c *Coordinator) isDegraded() bool {
@@ -645,52 +649,65 @@ func (c *Coordinator) retire(s *slot, why string) {
 	}
 }
 
-// exitReason says how one worker process session ended.
+// exitReason says how one worker session ended.
 type exitReason int
 
 const (
-	exitShutdown  exitReason = iota // orderly: ctx done
-	exitMismatch                    // fingerprint handshake failed (no respawn)
-	exitCrash                       // process died or misbehaved (respawn)
-	exitLost                        // heartbeats stopped (killed; respawn)
-	exitExpired                     // lease expired, kill-on-expiry (respawn)
-	exitPartition                   // network connection lost (net mode; await redial, no restart charge)
+	exitShutdown exitReason = iota // orderly: ctx done
+	exitMismatch                   // fingerprint handshake failed (retire)
+	exitBreach                     // protocol breach: malformed frame, corrupt result, bad handshake
+	exitLost                       // the worker, its link, or its lease went away
 )
 
-// slotLoop owns one worker slot: spawn, serve, and respawn with backoff
-// until the restart budget is spent, the fingerprint mismatches, or the
-// fleet shuts down. In network mode the slot waits for dialing workers
-// instead of spawning (netSlotLoop).
+// workerLink is one live worker session a slot serves: a spawned
+// process's pipes, or a dialed network connection admitted by the
+// accept loop.
+type workerLink struct {
+	tr Transport
+	// proc is the spawned worker process (nil for a network link).
+	proc Process
+	// raw is the network connection under tr, which admit severs when
+	// the session redials (nil for a process).
+	raw net.Conn
+	// lastLease is the lease a network worker claims to still hold in
+	// flight (0 = none); adoptOrphan checks it against the slot's
+	// parked lease.
+	lastLease int64
+}
+
+// resumable reports whether this fleet's worker links can come back
+// after they drop: a network session may redial and re-adopt its
+// parked lease, while a process that dies is gone. A resumable link
+// parks a lost lease; a process link fails it.
+func (c *Coordinator) resumable() bool { return c.cfg.Net != nil }
+
+// slotLoop owns one worker slot: obtain a session (spawn a process, or
+// wait for a dialed connection), serve it, and go again until the
+// restart budget is spent, the fingerprint mismatches, or the fleet
+// shuts down. A process link charges the restart budget for every
+// death and backs off before respawning; a resumable link charges only
+// protocol breaches, because partitions and expiries are the network's
+// fault and a session may ride out any number of them.
 func (c *Coordinator) slotLoop(s *slot) {
 	defer c.wg.Done()
-	if c.cfg.Net != nil {
-		c.netSlotLoop(s)
-		return
-	}
 	for {
 		if c.ctx.Err() != nil {
 			c.setState(s, StateStopped)
 			return
 		}
 		c.setState(s, StateSpawning)
-		tr, proc, err := c.cfg.Spawn(s.id)
-		var reason exitReason
-		var detail string
-		if err != nil {
-			reason, detail = exitCrash, fmt.Sprintf("spawn failed: %v", err)
+		wl, err := c.obtain(s)
+		reason, detail := exitLost, ""
+		switch {
+		case err != nil:
+			detail = fmt.Sprintf("spawn failed: %v", err)
 			c.event(Event{Type: EventWorkerExit, Worker: s.id, Kind: resilience.KindGeneric, Detail: detail})
-		} else {
-			c.mu.Lock()
-			s.pid = proc.Pid()
-			c.mu.Unlock()
+		case wl == nil:
+			continue // shut down while waiting for a connection
+		default:
 			c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(+1)))
-			reason, detail = c.serveWorker(s, tr, nil)
-			proc.Kill()
-			tr.Close()
-			proc.Wait()
-			c.mu.Lock()
-			s.pid = 0
-			c.mu.Unlock()
+			reason, detail = c.serveWorker(s, wl)
+			c.release(s, wl)
 			c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(-1)))
 		}
 		switch reason {
@@ -703,19 +720,17 @@ func (c *Coordinator) slotLoop(s *slot) {
 		}
 		c.mu.Lock()
 		s.lastFault = detail
-		restarts := s.restarts
 		c.mu.Unlock()
-		if restarts >= c.cfg.MaxRestarts {
-			c.retire(s, fmt.Sprintf("restart budget (%d) spent; last: %s", c.cfg.MaxRestarts, detail))
+		if c.resumable() {
+			// No process to respawn: only a protocol breach charges.
+			if reason == exitBreach && !c.chargeRestart(s, detail) {
+				return
+			}
+			continue
+		}
+		if !c.chargeRestart(s, detail) {
 			return
 		}
-		c.mu.Lock()
-		s.restarts++
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(fmt.Sprintf("%s%d", obs.GaugeFleetWorkerRestartsPrefix, s.id)).Set(float64(restarts + 1))
-		c.counter(obs.MetricFleetRestarts).Add(1)
-		c.statAdd(func(st *Stats) { st.Restarts++ })
-		c.event(Event{Type: EventWorkerRestart, Worker: s.id, Detail: detail})
 		c.setState(s, StateBackoff)
 		select {
 		case <-time.After(c.cfg.RestartBackoff):
@@ -724,6 +739,77 @@ func (c *Coordinator) slotLoop(s *slot) {
 			return
 		}
 	}
+}
+
+// obtain gets the slot's next worker session: it spawns a process, or
+// waits for the accept loop to hand over a dialed connection. Both
+// nil means the fleet shut down while waiting.
+func (c *Coordinator) obtain(s *slot) (*workerLink, error) {
+	if c.resumable() {
+		select {
+		case wl := <-s.netCh:
+			c.mu.Lock()
+			s.netLive = wl.raw
+			c.mu.Unlock()
+			return wl, nil
+		case <-c.ctx.Done():
+			return nil, nil
+		}
+	}
+	tr, proc, err := c.cfg.Spawn(s.id)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	s.pid = proc.Pid()
+	c.mu.Unlock()
+	return &workerLink{tr: tr, proc: proc}, nil
+}
+
+// release tears a served session down: a process is killed and reaped,
+// a network session is unbound from the slot unless a parked lease or
+// a queued reconnect still needs it.
+func (c *Coordinator) release(s *slot, wl *workerLink) {
+	if wl.proc != nil {
+		wl.proc.Kill()
+	}
+	wl.tr.Close()
+	if wl.proc != nil {
+		wl.proc.Wait()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s.pid = 0
+	if s.netLive == wl.raw {
+		s.netLive = nil
+	}
+	if s.orphan == nil && len(s.netCh) == 0 && s.session != "" {
+		delete(c.sessions, s.session)
+		s.session = ""
+	}
+}
+
+// chargeRestart spends one unit of the slot's restart budget and counts
+// it everywhere a restart shows: the slot's gauge, Stats.Restarts, the
+// fleet restart counter, and a worker_restart event. It reports false,
+// having retired the slot, when the budget was already spent.
+func (c *Coordinator) chargeRestart(s *slot, detail string) bool {
+	c.mu.Lock()
+	restarts := s.restarts
+	spent := restarts >= c.cfg.MaxRestarts
+	if !spent {
+		s.restarts++
+	}
+	c.mu.Unlock()
+	if spent {
+		c.retire(s, fmt.Sprintf("restart budget (%d) spent; last: %s", c.cfg.MaxRestarts, detail))
+		return false
+	}
+	c.rt.Metrics.Gauge(fmt.Sprintf("%s%d", obs.GaugeFleetWorkerRestartsPrefix, s.id)).Set(float64(restarts + 1))
+	c.counter(obs.MetricFleetRestarts).Add(1)
+	c.statAdd(func(st *Stats) { st.Restarts++ })
+	c.event(Event{Type: EventWorkerRestart, Worker: s.id, Detail: detail})
+	return true
 }
 
 // aliveProcs tracks the live-process count for the workers_alive gauge.
@@ -749,12 +835,13 @@ type workerReader struct {
 }
 
 // serveWorker drives one live worker session: handshake, then a
-// lease-serve loop. nc is non-nil for network sessions; the pipe path
-// passes nil. Every exit path resolves or parks the in-flight lease
-// (if any) before returning, so no Evaluate caller is ever stranded.
-func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReason, string) {
-	// The reader goroutine exits when Recv fails; the caller's tr.Close
-	// and proc.Kill guarantee that on every return path.
+// lease-serve loop. Every exit path resolves or parks the in-flight
+// lease (if any) before returning, so no Evaluate caller is ever
+// stranded.
+func (c *Coordinator) serveWorker(s *slot, wl *workerLink) (exitReason, string) {
+	tr := wl.tr
+	// The reader goroutine exits when Recv fails; the caller's release
+	// guarantees that on every return path.
 	rd := &workerReader{msgs: make(chan Msg, 16)}
 	go func() {
 		defer close(rd.msgs)
@@ -774,10 +861,10 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 	select {
 	case m, ok := <-rd.msgs:
 		if !ok {
-			return exitCrash, "worker exited before handshake"
+			return exitLost, "worker exited before handshake"
 		}
 		if m.Type != MsgReady {
-			return exitCrash, fmt.Sprintf("protocol error: first frame %q, want %q", m.Type, MsgReady)
+			return exitBreach, fmt.Sprintf("protocol error: first frame %q, want %q", m.Type, MsgReady)
 		}
 		if m.Fingerprint != c.rt.Fingerprint {
 			detail := fmt.Sprintf("worker fingerprint %.12s... does not match coordinator %.12s... (its evaluations would not reproduce the journal)",
@@ -786,7 +873,7 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 			return exitMismatch, detail
 		}
 	case <-ready.C:
-		return exitCrash, fmt.Sprintf("no handshake within %v", c.cfg.ReadyTimeout)
+		return exitLost, fmt.Sprintf("no handshake within %v", c.cfg.ReadyTimeout)
 	case <-c.ctx.Done():
 		return exitShutdown, ""
 	}
@@ -796,7 +883,7 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 	// and the delta merge must restart with it. (A network reconnect
 	// resumes the same process — same tracer, same registry, same
 	// sequence — so its state carries over.)
-	if nc == nil {
+	if !c.resumable() {
 		c.mu.Lock()
 		s.obsSeq = 0
 		s.obsSnap = obs.Snapshot{}
@@ -806,12 +893,11 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 	// A reconnecting network session may still hold a parked lease:
 	// re-adopt it and resume driving — without a second grant, because
 	// the worker is mid-evaluation (or re-offering its reply) already.
-	if nc != nil {
-		if l := c.adoptOrphan(s, nc); l != nil {
-			reason, detail, next := c.driveLease(s, tr, l, rd, nc)
-			if !next {
-				return reason, detail
-			}
+	// A process link never parks, so it never adopts.
+	if l := c.adoptOrphan(s, wl.lastLease); l != nil {
+		reason, detail, next := c.driveLease(s, tr, l, rd)
+		if !next {
+			return reason, detail
 		}
 	}
 
@@ -837,10 +923,7 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 			c.q.fail(l.id, &WorkerFault{Key: l.job.key, Kind: resilience.KindSchedulerKill,
 				Msg: fmt.Sprintf("fleet: worker died before receiving the lease on %q", l.job.key)})
 			c.workerDied(s, l.job.key, l.job.attempt, detail)
-			if nc != nil {
-				return exitPartition, detail
-			}
-			return exitCrash, detail
+			return exitLost, detail
 		}
 		c.mu.Lock()
 		s.state = StateBusy
@@ -851,11 +934,22 @@ func (c *Coordinator) serveWorker(s *slot, tr Transport, nc *netConn) (exitReaso
 		c.statAdd(func(st *Stats) { st.Leases++ })
 		c.event(Event{Type: EventLeaseGrant, Worker: s.id, Key: l.job.key, Attempt: l.job.attempt})
 
-		reason, detail, next := c.driveLease(s, tr, l, rd, nc)
+		reason, detail, next := c.driveLease(s, tr, l, rd)
 		if !next {
 			return reason, detail
 		}
 	}
+}
+
+// dropLease resolves a lease whose worker link went away: a resumable
+// link parks it for the session's reconnect, a process link fails it
+// with f for supervised reassignment.
+func (c *Coordinator) dropLease(s *slot, l *lease, f *WorkerFault) {
+	if c.resumable() {
+		c.parkOrphan(s, l)
+		return
+	}
+	c.q.fail(l.id, f)
 }
 
 // workerDied records a worker process death (event + counters).
@@ -878,9 +972,9 @@ func (c *Coordinator) lateResult(s *slot, key string, attempt int) {
 // driveLease runs one granted lease to its end: a result/fault frame, a
 // deadline expiry, heartbeat silence, connection loss, process death,
 // or shutdown. It returns next=true when the worker survives to take
-// another lease. In network mode (nc non-nil) a lost connection parks
-// the lease for the session's reconnect instead of failing it.
-func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerReader, nc *netConn) (reason exitReason, detail string, next bool) {
+// another lease. A lost resumable link parks the lease for the
+// session's reconnect instead of failing it.
+func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerReader) (reason exitReason, detail string, next bool) {
 	key, attempt := l.job.key, l.job.attempt
 	// draining: the lease has already been failed (expired) but the
 	// worker lives on (LetExpiredFinish) — we wait for its stale frame,
@@ -898,6 +992,15 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 		s.restarts = 0
 		c.mu.Unlock()
 	}
+	// breach fails the lease on a protocol breach and retires the link
+	// (the slot's restart budget bounds a misbehaving peer).
+	breach := func(det string, f *WorkerFault) (exitReason, string, bool) {
+		if !draining {
+			c.q.fail(l.id, f)
+		}
+		c.workerDied(s, key, attempt, det)
+		return exitBreach, det, false
+	}
 	for {
 		select {
 		case m, ok := <-rd.msgs:
@@ -905,38 +1008,26 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 				var fe *FrameError
 				if errors.As(rd.err, &fe) {
 					// A malformed or oversized frame is a protocol breach,
-					// not a partition: fail the lease and retire the
-					// connection (the slot's restart budget bounds a
-					// garbage-sending peer).
-					det := fe.Error()
+					// not a partition.
 					c.counter(obs.MetricFleetNetFrameErrors).Add(1)
 					c.statAdd(func(st *Stats) { st.FrameErrors++ })
-					if !draining {
-						c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
-							Msg: fmt.Sprintf("fleet: worker evaluating %q sent a malformed frame; retiring the connection", key)})
-					}
-					c.workerDied(s, key, attempt, det)
-					return exitCrash, det, false
+					return breach(fe.Error(), &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
+						Msg: fmt.Sprintf("fleet: worker evaluating %q sent a malformed frame; retiring the connection", key)})
 				}
-				if nc != nil {
-					// Connection lost: park the lease so the session's
-					// reconnect can re-adopt it; the orphan timer expires
-					// it at the original deadline if the worker never
-					// returns.
-					det := fmt.Sprintf("connection lost during evaluation of %q (attempt %d)", key, attempt)
-					if !draining {
-						c.parkOrphan(s, l)
-					}
-					c.workerDied(s, key, attempt, det)
-					return exitPartition, det, false
-				}
+				// The link is gone. A resumable one parks the lease so the
+				// session's reconnect can re-adopt it; the orphan timer
+				// expires it at the original deadline if the worker never
+				// returns.
 				det := fmt.Sprintf("worker exited during evaluation of %q (attempt %d)", key, attempt)
+				if c.resumable() {
+					det = fmt.Sprintf("connection lost during evaluation of %q (attempt %d)", key, attempt)
+				}
 				if !draining {
-					c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
+					c.dropLease(s, l, &WorkerFault{Key: key, Kind: resilience.KindSchedulerKill,
 						Msg: fmt.Sprintf("fleet: worker evaluating %q was killed before returning a result", key)})
 				}
 				c.workerDied(s, key, attempt, det)
-				return exitCrash, det, false
+				return exitLost, det, false
 			}
 			c.spliceObs(s, m)
 			switch m.Type {
@@ -955,24 +1046,14 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					continue
 				}
 				rec, err := decodeResult(c.rt.Fingerprint, key, m)
+				var ev *search.Evaluation
+				if err == nil {
+					ev, err = rec.Evaluation()
+				}
 				if err != nil {
 					// A corrupt result is a protocol breach: fail the lease
-					// and replace the process.
-					det := err.Error()
-					if !draining {
-						c.q.fail(l.id, &WorkerFault{Key: key, Msg: det})
-					}
-					c.workerDied(s, key, attempt, det)
-					return exitCrash, det, false
-				}
-				ev, err := rec.Evaluation()
-				if err != nil {
-					det := err.Error()
-					if !draining {
-						c.q.fail(l.id, &WorkerFault{Key: key, Msg: det})
-					}
-					c.workerDied(s, key, attempt, det)
-					return exitCrash, det, false
+					// and retire the link.
+					return breach(err.Error(), &WorkerFault{Key: key, Msg: err.Error()})
 				}
 				if draining || !c.q.complete(l.id, ev) {
 					c.lateResult(s, key, attempt)
@@ -1020,28 +1101,19 @@ func (c *Coordinator) driveLease(s *slot, tr Transport, l *lease, rd *workerRead
 					c.mu.Unlock()
 					continue
 				}
-				return exitExpired, fmt.Sprintf("lease on %q expired", key), false
+				return exitLost, fmt.Sprintf("lease on %q expired", key), false
 			}
 			if now.Sub(lastBeat) > time.Duration(c.cfg.HeartbeatMisses)*c.cfg.Heartbeat {
 				det := fmt.Sprintf("no heartbeat for %v (%d misses) during %q; killing worker",
 					now.Sub(lastBeat).Round(time.Millisecond), c.cfg.HeartbeatMisses, key)
-				if nc != nil {
-					// Silence over the network is indistinguishable from a
-					// partition: sever the connection and park the lease —
-					// if the worker is alive behind a partition it will
-					// redial and resume; if it is truly wedged the orphan
-					// timer expires the lease at its original deadline.
-					if !draining {
-						c.parkOrphan(s, l)
-					}
-					c.counter(obs.MetricFleetWorkerExits).Add(1)
-					c.statAdd(func(st *Stats) { st.Exits++ })
-					c.event(Event{Type: EventWorkerLost, Worker: s.id, Key: key, Attempt: attempt,
-						Kind: resilience.KindHang, Detail: det})
-					return exitPartition, det, false
-				}
+				// Silence over the network is indistinguishable from a
+				// partition: a resumable link is severed and its lease
+				// parked — if the worker is alive behind a partition it
+				// will redial and resume; if it is truly wedged the
+				// orphan timer expires the lease at its original
+				// deadline. A silent process is killed.
 				if !draining {
-					c.q.fail(l.id, &WorkerFault{Key: key, Kind: resilience.KindHang,
+					c.dropLease(s, l, &WorkerFault{Key: key, Kind: resilience.KindHang,
 						Msg: fmt.Sprintf("fleet: worker evaluating %q went silent; killed", key)})
 				}
 				c.counter(obs.MetricFleetWorkerExits).Add(1)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/search"
 	"repro/internal/transform"
@@ -319,6 +320,73 @@ func TestLateResultAfterExpiryIsDeduped(t *testing.T) {
 	}
 	if st := c.Stats(); st.Exits != 0 {
 		t.Errorf("Exits = %d, want 0 (LetExpiredFinish keeps the worker)", st.Exits)
+	}
+}
+
+// TestLateHeartbeatDoesNotResurrectExpiredLease pins the TTL edge on
+// the production heartbeat path: heartbeats for a slow lease keep
+// arriving (and are counted) after its lease_expired event, yet they
+// neither extend nor revive the lease — its late result is refused and
+// the job resolves once, from the retry.
+func TestLateHeartbeatDoesNotResurrectExpiredLease(t *testing.T) {
+	key := asn(4).Key()
+	reg := obs.NewRegistry()
+	beats := reg.Counter(obs.MetricFleetHeartbeats)
+	// Heartbeat counts at the lease_expired and late_result events. The
+	// coordinator counts heartbeats and emits both events on the slot's
+	// goroutine, so each read sees exactly the beats before its event.
+	var mu sync.Mutex
+	atExpiry, atLate := int64(-1), int64(-1)
+	onEvent := func(e Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case e.Type == EventLeaseExpired && e.Attempt == 1:
+			atExpiry = beats.Value()
+		case e.Type == EventLateResult && e.Attempt == 1:
+			atLate = beats.Value()
+		}
+	}
+	c := startFleet(t, Config{
+		Workers: 1,
+		Spawn: stubSpawn(
+			"FLEET_STUB_SLOW_KEY="+key,
+			"FLEET_STUB_SLOW_MS=600",
+			"FLEET_STUB_HB_MS=20"),
+		LeaseTTL:         150 * time.Millisecond,
+		Heartbeat:        20 * time.Millisecond,
+		HeartbeatMisses:  50,
+		LetExpiredFinish: true,
+		OnEvent:          onEvent,
+	}, Runtime{Metrics: reg})
+
+	ev := supervise(c).Evaluate(asn(4))
+	if ev.Status != search.StatusPass {
+		t.Fatalf("status = %v, want pass", ev.Status)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		done := atExpiry >= 0 && atLate >= 0
+		mu.Unlock()
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			mu.Lock()
+			defer mu.Unlock()
+			t.Fatalf("attempt 1 events missing: heartbeats at lease_expired = %d, at late_result = %d", atExpiry, atLate)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := c.Stats(); st.Expired != 1 || st.Late < 1 {
+		t.Errorf("Expired = %d, Late = %d; want the one lease expired and its result refused", st.Expired, st.Late)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if atLate <= atExpiry {
+		t.Errorf("no heartbeats counted between lease_expired (%d) and late_result (%d); the late-heartbeat edge went unexercised",
+			atExpiry, atLate)
 	}
 }
 

@@ -330,6 +330,9 @@ func TestMalformedFrameFailsLeaseAndRetiresConnection(t *testing.T) {
 	if st := c.Stats(); st.PartitionExpired != 0 {
 		t.Errorf("PartitionExpired = %d, want 0 (breach, not partition)", st.PartitionExpired)
 	}
+	if st := c.Stats(); st.Restarts != 1 {
+		t.Errorf("Restarts = %d, want 1 (a breach charges the restart budget)", st.Restarts)
+	}
 	c.Close()
 	w.Wait()
 }
@@ -340,10 +343,11 @@ type evalFunc func(transform.Assignment) *search.Evaluation
 func (f evalFunc) Evaluate(a transform.Assignment) *search.Evaluation { return f(a) }
 
 // hbFailTransport accepts handshake frames but fails every heartbeat
-// send; Recv blocks until Close.
+// send; Recv delivers grant, if set, and then blocks until Close.
 type hbFailTransport struct {
 	mu      sync.Mutex
 	hbFails int
+	grant   *Msg
 	closed  chan struct{}
 	once    sync.Once
 }
@@ -369,6 +373,13 @@ func (tr *hbFailTransport) failures() int {
 }
 
 func (tr *hbFailTransport) Recv() (Msg, error) {
+	tr.mu.Lock()
+	m := tr.grant
+	tr.grant = nil
+	tr.mu.Unlock()
+	if m != nil {
+		return *m, nil
+	}
 	<-tr.closed
 	return Msg{}, io.EOF
 }
@@ -405,8 +416,8 @@ func TestHeartbeatMissLimitTriggersReconnect(t *testing.T) {
 			return tr, nil
 		},
 	}
-	lk := &netLink{cfg: cfg}
-	if _, err := lk.redial(0); err != nil {
+	lk := newNetLink(cfg)
+	if err := lk.open(); err != nil {
 		t.Fatalf("initial dial: %v", err)
 	}
 	stop := lk.heartbeats(1, nil)
@@ -417,6 +428,41 @@ func TestHeartbeatMissLimitTriggersReconnect(t *testing.T) {
 	trMu.Unlock()
 	if got := first.failures(); got != 3 {
 		t.Errorf("heartbeat failures before reconnect = %d, want exactly %d", got, 3)
+	}
+}
+
+// TestDialBudgetSpentMidLeaseEndsWorker: when failed heartbeats spend
+// the whole dial budget during an evaluation, the worker returns the
+// dial error once the evaluation ends instead of using the dead link.
+func TestDialBudgetSpentMidLeaseEndsWorker(t *testing.T) {
+	var dials atomic.Int64
+	err := ServeNet(NetServeConfig{
+		Eval: evalFunc(func(a transform.Assignment) *search.Evaluation {
+			// Evaluate until the heartbeat's redial is under way; its
+			// lock holds the reply back until the redial gives up.
+			deadline := time.Now().Add(5 * time.Second)
+			for dials.Load() < 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			return stubEval{}.Evaluate(a)
+		}),
+		Fingerprint:        stubFingerprint,
+		Session:            "budget",
+		Heartbeat:          5 * time.Millisecond,
+		HeartbeatMissLimit: 1,
+		ReconnectBackoff:   time.Millisecond,
+		MaxDials:           2,
+		Dial: func() (Transport, error) {
+			if dials.Add(1) > 1 {
+				return nil, errors.New("coordinator unreachable")
+			}
+			tr := newHBFailTransport()
+			tr.grant = &Msg{Type: MsgLease, Lease: 1, Key: asn(1).Key(), Attempt: 1, Assignment: asn(1)}
+			return tr, nil
+		},
+	})
+	if err == nil || !strings.Contains(err.Error(), "giving up after 2 dial attempt(s)") {
+		t.Fatalf("ServeNet = %v, want the spent dial budget", err)
 	}
 }
 

@@ -30,18 +30,6 @@ type NetConfig struct {
 	Chaos *ChaosConfig
 }
 
-// netConn is one admitted worker connection, handed from the accept
-// loop to a slot.
-type netConn struct {
-	tr      Transport
-	raw     net.Conn
-	session string
-	// lastLease is the lease the worker claims to still hold in
-	// flight (0 = none); adoptOrphan checks it against the slot's
-	// parked lease.
-	lastLease int64
-}
-
 // acceptLoop admits worker connections until the listener closes
 // (which the shutdown path guarantees on ctx cancellation).
 func (c *Coordinator) acceptLoop() {
@@ -104,7 +92,7 @@ func (c *Coordinator) admit(conn net.Conn) {
 		return
 	}
 	tr := newReplayTransport(c.nchaos.wrap(raw, func() { conn.Close() }), m)
-	nc := &netConn{tr: tr, raw: conn, session: m.Session, lastLease: m.LastLease}
+	wl := &workerLink{tr: tr, raw: conn, lastLease: m.LastLease}
 
 	c.mu.Lock()
 	if c.ctx.Err() != nil {
@@ -147,7 +135,7 @@ func (c *Coordinator) admit(conn net.Conn) {
 		s.netLive.Close()
 		s.netLive = nil
 	}
-	s.netCh <- nc
+	s.netCh <- wl
 	sid := s.id
 	c.mu.Unlock()
 
@@ -157,83 +145,6 @@ func (c *Coordinator) admit(conn net.Conn) {
 		c.statAdd(func(st *Stats) { st.Reconnects++ })
 		c.event(Event{Type: EventWorkerReconnect, Worker: sid,
 			Detail: fmt.Sprintf("session %s reconnected", m.Session)})
-	}
-}
-
-// awaitConn blocks until the accept loop hands the slot a connection
-// or the fleet shuts down.
-func (c *Coordinator) awaitConn(s *slot) *netConn {
-	select {
-	case nc := <-s.netCh:
-		return nc
-	case <-c.ctx.Done():
-		return nil
-	}
-}
-
-// netSlotLoop owns one worker slot in network mode: wait for a
-// connection, serve it, and on connection loss wait for the session's
-// reconnect. Only protocol breaches (exitCrash) charge the restart
-// budget — partitions and expiries are the network's fault, not the
-// peer's, and a session may ride out any number of them.
-func (c *Coordinator) netSlotLoop(s *slot) {
-	for {
-		if c.ctx.Err() != nil {
-			c.setState(s, StateStopped)
-			return
-		}
-		c.setState(s, StateSpawning)
-		nc := c.awaitConn(s)
-		if nc == nil {
-			c.setState(s, StateStopped)
-			return
-		}
-		c.mu.Lock()
-		s.netLive = nc.raw
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(+1)))
-		reason, detail := c.serveWorker(s, nc.tr, nc)
-		nc.tr.Close()
-		c.mu.Lock()
-		if s.netLive == nc.raw {
-			s.netLive = nil
-		}
-		// Keep the session bound while a parked lease or a queued
-		// reconnect needs it; otherwise free the slot for any session.
-		if s.orphan == nil && len(s.netCh) == 0 && s.session != "" {
-			delete(c.sessions, s.session)
-			s.session = ""
-		}
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(obs.GaugeFleetWorkersAlive).Set(float64(c.aliveProcs(-1)))
-		switch reason {
-		case exitShutdown:
-			c.setState(s, StateStopped)
-			return
-		case exitMismatch:
-			c.retire(s, detail)
-			return
-		case exitPartition, exitExpired, exitLost:
-			c.mu.Lock()
-			s.lastFault = detail
-			c.mu.Unlock()
-			continue
-		}
-		// exitCrash: a protocol breach (malformed frame, corrupt
-		// result, bad handshake). No process to respawn, but the
-		// restart budget still bounds a misbehaving peer.
-		c.mu.Lock()
-		s.lastFault = detail
-		restarts := s.restarts
-		c.mu.Unlock()
-		if restarts >= c.cfg.MaxRestarts {
-			c.retire(s, fmt.Sprintf("restart budget (%d) spent; last: %s", c.cfg.MaxRestarts, detail))
-			return
-		}
-		c.mu.Lock()
-		s.restarts++
-		c.mu.Unlock()
-		c.rt.Metrics.Gauge(fmt.Sprintf("%s%d", obs.GaugeFleetWorkerRestartsPrefix, s.id)).Set(float64(restarts + 1))
 	}
 }
 
@@ -292,7 +203,7 @@ func (c *Coordinator) failOrphan(s *slot, l *lease) {
 // mismatch means the worker restarted (or never got the grant): the
 // parked work cannot complete, so it is expired immediately rather
 // than waiting out the TTL.
-func (c *Coordinator) adoptOrphan(s *slot, nc *netConn) *lease {
+func (c *Coordinator) adoptOrphan(s *slot, lastLease int64) *lease {
 	c.mu.Lock()
 	l := s.orphan
 	if l == nil {
@@ -305,7 +216,7 @@ func (c *Coordinator) adoptOrphan(s *slot, nc *netConn) *lease {
 		s.orphanTimer = nil
 	}
 	c.mu.Unlock()
-	if nc.lastLease != l.id {
+	if lastLease != l.id {
 		c.failOrphan(s, l)
 		return nil
 	}

@@ -12,46 +12,15 @@ import (
 // normal reconnect/lease-recovery machinery takes over.
 const DefaultSendTimeout = 5 * time.Second
 
-// netTransport is Transport over a single TCP (or any net.Conn)
-// connection, carrying the same JSONL frames as the pipe transport
-// plus a per-message send deadline so a stalled peer cannot wedge the
-// sender forever.
-type netTransport struct {
-	mu          sync.Mutex
-	conn        net.Conn
-	fr          *frameReader
-	sendTimeout time.Duration
-}
-
 // NewNetTransport wraps an established connection in the JSONL
-// transport. sendTimeout ≤ 0 selects DefaultSendTimeout.
+// transport, with a per-frame send deadline of sendTimeout (≤ 0
+// selects DefaultSendTimeout).
 func NewNetTransport(conn net.Conn, sendTimeout time.Duration) Transport {
 	if sendTimeout <= 0 {
 		sendTimeout = DefaultSendTimeout
 	}
-	return &netTransport{conn: conn, fr: newFrameReader(conn), sendTimeout: sendTimeout}
-}
-
-func (t *netTransport) Send(m Msg) error {
-	b, err := marshalFrame(m)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.conn.SetWriteDeadline(time.Now().Add(t.sendTimeout)); err != nil {
-		return err
-	}
-	_, err = t.conn.Write(b)
-	return err
-}
-
-func (t *netTransport) Recv() (Msg, error) {
-	return t.fr.next()
-}
-
-func (t *netTransport) Close() error {
-	return t.conn.Close()
+	return &streamTransport{fr: newFrameReader(conn), w: conn, close: conn.Close,
+		arm: func() error { return conn.SetWriteDeadline(time.Now().Add(sendTimeout)) }}
 }
 
 // replayTransport re-delivers a frame already consumed from the inner
@@ -79,14 +48,3 @@ func (t *replayTransport) Recv() (Msg, error) {
 	t.mu.Unlock()
 	return t.Transport.Recv()
 }
-
-// netProc adapts a network connection to the Process interface the
-// slot loop manages: there is no child process, so Kill severs the
-// connection and Wait has nothing to reap.
-type netProc struct {
-	conn net.Conn
-}
-
-func (p *netProc) Kill() error { return p.conn.Close() }
-func (p *netProc) Wait() error { return nil }
-func (p *netProc) Pid() int    { return 0 }

@@ -5,10 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
-	"repro/internal/journal"
 	"repro/internal/search"
 )
 
@@ -91,172 +89,6 @@ func (cfg *NetServeConfig) withDefaults() {
 	}
 }
 
-// netLink is a worker's self-healing connection to the coordinator:
-// one live transport plus the session state (in-flight lease, pending
-// reply) that must survive a reconnect so the handshake can resume the
-// session instead of abandoning its work.
-type netLink struct {
-	cfg *NetServeConfig
-
-	// mu serializes redials; gen increments per established
-	// connection so concurrent failure observers (the heartbeat
-	// goroutine, the main loop) trigger at most one redial each.
-	mu  sync.Mutex
-	tr  Transport
-	gen int
-
-	// stateMu guards the resume state carried across reconnects.
-	stateMu   sync.Mutex
-	lastLease int64
-	pending   *Msg
-}
-
-// current returns the live transport and its generation.
-func (lk *netLink) current() (Transport, int) {
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	return lk.tr, lk.gen
-}
-
-// setLease records a newly granted lease. A new grant also proves the
-// previous pending reply was delivered (or its lease superseded), so
-// it is dropped.
-func (lk *netLink) setLease(id int64) {
-	lk.stateMu.Lock()
-	lk.lastLease = id
-	lk.pending = nil
-	lk.stateMu.Unlock()
-}
-
-// setPending records the reply for the in-flight lease so a reconnect
-// can re-offer it: the reply is either the first delivery or a
-// duplicate the coordinator's dedup refuses — never lost.
-func (lk *netLink) setPending(m Msg) {
-	lk.stateMu.Lock()
-	lk.pending = &m
-	lk.stateMu.Unlock()
-}
-
-// resume snapshots the session state for a handshake.
-func (lk *netLink) resume() (int64, *Msg) {
-	lk.stateMu.Lock()
-	defer lk.stateMu.Unlock()
-	return lk.lastLease, lk.pending
-}
-
-// redial re-establishes the link after the connection of generation
-// gen failed. Single-flight: a concurrent observer of the same dead
-// generation blocks and then reuses the fresh connection. Dial
-// attempts back off capped-exponentially up to MaxDials; past that the
-// worker gives up and the error is returned.
-func (lk *netLink) redial(gen int) (Transport, error) {
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	if lk.gen != gen {
-		return lk.tr, nil
-	}
-	if lk.tr != nil {
-		lk.tr.Close()
-		lk.tr = nil
-	}
-	backoff := lk.cfg.ReconnectBackoff
-	for attempt := 1; ; attempt++ {
-		tr, err := lk.dialOnce()
-		if err == nil {
-			lk.tr = tr
-			lk.gen++
-			return tr, nil
-		}
-		if attempt >= lk.cfg.MaxDials {
-			return nil, fmt.Errorf("fleet: giving up after %d dial attempt(s): %w", attempt, err)
-		}
-		time.Sleep(backoff)
-		if backoff < 32*lk.cfg.ReconnectBackoff {
-			backoff *= 2
-		}
-	}
-}
-
-// dialOnce makes one connection and resumes the session on it: the
-// ready handshake carries the session ID and the in-flight lease, and
-// a pending reply is re-offered immediately (the coordinator's dedup
-// refuses it if the first copy landed).
-func (lk *netLink) dialOnce() (Transport, error) {
-	tr, err := lk.cfg.Dial()
-	if err != nil {
-		return nil, err
-	}
-	last, pending := lk.resume()
-	if err := tr.Send(Msg{Type: MsgReady, Fingerprint: lk.cfg.Fingerprint,
-		Session: lk.cfg.Session, LastLease: last}); err != nil {
-		tr.Close()
-		return nil, err
-	}
-	if pending != nil {
-		if err := tr.Send(*pending); err != nil {
-			tr.Close()
-			return nil, err
-		}
-	}
-	return tr, nil
-}
-
-// sendReply delivers a lease's reply, reconnecting on failure (the
-// redial's handshake re-offers the pending reply itself).
-func (lk *netLink) sendReply(m Msg) error {
-	tr, gen := lk.current()
-	if err := tr.Send(m); err != nil {
-		_, rerr := lk.redial(gen)
-		return rerr
-	}
-	return nil
-}
-
-// heartbeats beats on the link until stopped. Unlike the pipe worker —
-// where one failed send means the coordinator is gone and the process
-// exits — a network worker tolerates flaky sends: only
-// HeartbeatMissLimit consecutive failures declare the link dead and
-// trigger a reconnect. Each beat piggybacks the worker's pending
-// observability payload when shipping is on.
-func (lk *netLink) heartbeats(lease int64, wo *workerObs) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(lk.cfg.Heartbeat)
-		defer t.Stop()
-		misses := 0
-		for {
-			select {
-			case <-t.C:
-				tr, gen := lk.current()
-				hb := Msg{Type: MsgHeartbeat, Lease: lease}
-				if wo != nil {
-					wo.attach(&hb)
-				}
-				if err := tr.Send(hb); err != nil {
-					misses++
-					if misses >= lk.cfg.HeartbeatMissLimit {
-						misses = 0
-						if _, rerr := lk.redial(gen); rerr != nil {
-							return
-						}
-					}
-					continue
-				}
-				misses = 0
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
-}
-
 // ServeNet runs a dialing network worker's lease loop: connect,
 // handshake, serve leases, and ride out connection losses by
 // reconnecting with session resume — in-flight work is never
@@ -282,79 +114,18 @@ func ServeNet(cfg NetServeConfig) error {
 			return NewNetTransport(conn, sendTO), nil
 		}
 	}
-	lk := &netLink{cfg: &cfg}
-	wo := &workerObs{}
-	if _, err := lk.redial(0); err != nil {
-		return err
-	}
-	// gotFrame tracks whether the current connection delivered anything:
-	// a connection dropped before its first frame (a full pool, a
-	// partition window) earns a backoff so redials cannot hot-spin.
-	gotFrame := false
-	lastGen := 1
-	for {
-		tr, gen := lk.current()
-		if gen != lastGen {
-			lastGen, gotFrame = gen, false
-		}
-		m, err := tr.Recv()
-		if err != nil {
-			if !gotFrame {
-				time.Sleep(cfg.ReconnectBackoff)
-			}
-			if _, rerr := lk.redial(gen); rerr != nil {
-				return rerr
-			}
-			continue
-		}
-		gotFrame = true
-		switch m.Type {
-		case MsgShutdown:
-			tr.Close()
-			return nil
-		case MsgLease:
-			if last, pending := lk.resume(); m.Lease == last && last != 0 {
-				// A duplicated grant of work this session already holds:
-				// re-offer the reply if it is done, ignore otherwise.
-				if pending != nil {
-					if err := lk.sendReply(*pending); err != nil {
-						return err
-					}
-				}
-				continue
-			}
-			lk.setLease(m.Lease)
-			wo.enable(m.Obs, cfg.Eval)
-			cfg.Fault.preEval(m.Key, m.Attempt)
-			stop := lk.heartbeats(m.Lease, wo)
-			sp := wo.leaseSpan(m)
-			ev, fault, faulted, persistent := runEval(cfg.Eval, m.Assignment, sp, wo.registry())
-			cfg.Fault.preReply(m.Key, m.Attempt)
-			stop()
-			var reply Msg
-			if faulted {
-				reply = Msg{Type: MsgFault, Lease: m.Lease, Fault: fault, Persistent: persistent}
-			} else {
-				rec := journal.FromEvaluation(cfg.Fingerprint, ev)
-				reply = Msg{Type: MsgResult, Lease: m.Lease, Result: &rec}
-			}
-			// Overflow span batches go out best-effort on the live link
-			// (a dead link loses them; the reply itself is what session
-			// resume protects). The reply's own obs payload is attached
-			// before setPending so a re-offered duplicate carries the
-			// same sequence number and the coordinator splices it at
-			// most once.
-			_ = wo.shipOverflow(func(hb Msg) error {
-				if tr, _ := lk.current(); tr != nil {
-					_ = tr.Send(hb)
-				}
-				return nil
-			}, m.Lease)
-			wo.attach(&reply)
-			lk.setPending(reply)
-			if err := lk.sendReply(reply); err != nil {
-				return err
-			}
-		}
+	return newNetLink(&cfg).serve(cfg.Eval, cfg.Fault)
+}
+
+// newNetLink returns the redialing link a network worker serves over.
+func newNetLink(cfg *NetServeConfig) *link {
+	return &link{
+		fingerprint: cfg.Fingerprint,
+		session:     cfg.Session,
+		heartbeat:   cfg.Heartbeat,
+		missLimit:   cfg.HeartbeatMissLimit,
+		dial:        cfg.Dial,
+		backoff:     cfg.ReconnectBackoff,
+		maxDials:    cfg.MaxDials,
 	}
 }

@@ -17,9 +17,10 @@
 // metrics.
 //
 // The wire protocol is deliberately transport-shaped: one Msg struct,
-// JSONL framing, and a Transport interface a pipe satisfies today and
-// an HTTP/socket transport can satisfy later without touching the
-// coordinator or worker loops.
+// JSONL framing, and a Transport interface that both a pipe and a TCP
+// connection satisfy. Each side runs one lease loop for both: a pipe is
+// just a link that cannot come back after it drops, while a network
+// link redials and resumes its session.
 package fleet
 
 import (
@@ -253,50 +254,61 @@ func (fr *frameReader) next() (Msg, error) {
 	}
 }
 
-// pipeTransport is the JSONL-over-pipes transport: one JSON object per
-// line. Send issues a single Write per message (marshal + trailing
-// newline), so frames up to the pipe's atomic write size never
-// interleave; the mutex serializes larger ones and concurrent senders.
-type pipeTransport struct {
+// streamTransport is the JSONL transport over a byte stream — a pipe
+// pair or a network connection: one JSON object per line. Send issues
+// a single Write per message (marshal + trailing newline), so frames up
+// to the pipe's atomic write size never interleave; the mutex
+// serializes larger ones and concurrent senders.
+type streamTransport struct {
 	mu sync.Mutex
 	fr *frameReader
-	r  io.Reader
 	w  io.Writer
+	// arm runs before each write (nil for a pipe): a network transport
+	// sets a write deadline there, so a stalled peer cannot wedge the
+	// sender forever.
+	arm   func() error
+	close func() error
 }
 
 // NewPipeTransport wraps a reader/writer pair (typically a subprocess's
 // stdout/stdin, or os.Stdin/os.Stdout on the worker side) in the JSONL
 // transport.
 func NewPipeTransport(r io.Reader, w io.Writer) Transport {
-	return &pipeTransport{fr: newFrameReader(r), r: r, w: w}
+	return &streamTransport{fr: newFrameReader(r), w: w, close: func() error {
+		var firstErr error
+		for _, x := range []any{w, r} {
+			if c, ok := x.(io.Closer); ok {
+				if err := c.Close(); firstErr == nil {
+					firstErr = err
+				}
+			}
+		}
+		return firstErr
+	}}
 }
 
-func (t *pipeTransport) Send(m Msg) error {
+func (t *streamTransport) Send(m Msg) error {
 	b, err := marshalFrame(m)
 	if err != nil {
 		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.arm != nil {
+		if err := t.arm(); err != nil {
+			return err
+		}
+	}
 	_, err = t.w.Write(b)
 	return err
 }
 
-func (t *pipeTransport) Recv() (Msg, error) {
+func (t *streamTransport) Recv() (Msg, error) {
 	return t.fr.next()
 }
 
-func (t *pipeTransport) Close() error {
-	var firstErr error
-	if c, ok := t.w.(io.Closer); ok {
-		firstErr = c.Close()
-	}
-	if c, ok := t.r.(io.Closer); ok {
-		if err := c.Close(); firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+func (t *streamTransport) Close() error {
+	return t.close()
 }
 
 // decodeResult validates and decodes a MsgResult payload: the record's

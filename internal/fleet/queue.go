@@ -139,20 +139,6 @@ func (q *queue) resolve(id int64, o outcome) bool {
 	return true
 }
 
-// touch reports whether a heartbeat keeps its lease: true only while
-// the lease is current and unexpired. It never extends the deadline —
-// a heartbeat that arrives after expiry cannot resurrect the lease,
-// however delayed the frame was.
-func (q *queue) touch(id int64) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	l, ok := q.leases[id]
-	if !ok || l.job.state != jobLeased || l.job.lease != id {
-		return false
-	}
-	return !q.clock().After(l.deadline)
-}
-
 // complete resolves a lease with a successful evaluation; false when
 // the lease is stale.
 func (q *queue) complete(id int64, ev *search.Evaluation) bool {

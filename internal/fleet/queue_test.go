@@ -40,40 +40,6 @@ func TestQueueExactlyOnceDedup(t *testing.T) {
 	}
 }
 
-// TestLateHeartbeatDoesNotResurrectExpiredLease pins the TTL edge with
-// a fake clock: a heartbeat (touch) that arrives after the deadline —
-// however delayed the frame was in the network — must not keep or
-// revive the lease.
-func TestLateHeartbeatDoesNotResurrectExpiredLease(t *testing.T) {
-	q := newQueue()
-	now := time.Unix(1_000_000, 0)
-	q.clock = func() time.Time { return now }
-	j := q.submit(asn(1), asn(1).Key(), 1, 0)
-	l := q.acquire(context.Background(), 0, time.Minute)
-	if l == nil {
-		t.Fatal("acquire failed")
-	}
-	if !q.touch(l.id) {
-		t.Fatal("heartbeat on a fresh lease refused")
-	}
-	// One tick past the deadline: the lease is expired, and no
-	// heartbeat can resurrect it.
-	now = now.Add(time.Minute + time.Nanosecond)
-	if q.touch(l.id) {
-		t.Fatal("heartbeat after expiry kept the lease alive")
-	}
-	// The expiry path still owns the resolution.
-	if !q.fail(l.id, &WorkerFault{Key: j.key, Msg: "expired"}) {
-		t.Fatal("expiry fail refused")
-	}
-	if q.touch(l.id) {
-		t.Fatal("heartbeat after resolution accepted")
-	}
-	if o := <-j.done; o.fault == nil {
-		t.Fatal("job resolved without the expiry fault")
-	}
-}
-
 // TestResultRacingExpiryIsRefusedExactlyOnce races a lease's result
 // against its own expiry, both orders: whichever resolution lands
 // first wins, the loser is refused, and the job sees exactly one

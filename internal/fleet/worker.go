@@ -70,11 +70,14 @@ type MetricsAttacher interface {
 	AttachMetrics(*obs.Registry)
 }
 
-// Serve runs a worker's lease loop until the coordinator says shutdown
-// or the transport closes (EOF is an orderly end: the coordinator died
-// or dropped us, and our process has no further purpose). Evaluation
-// panics are caught and answered as fault frames — the process
-// survives them; only injected faults and real crashes kill it.
+// Serve runs a pipe worker's lease loop until the coordinator says
+// shutdown or the transport closes (EOF is an orderly end: the
+// coordinator died or dropped us, and our process has no further
+// purpose). Evaluation panics are caught and answered as fault frames —
+// the process survives them; only injected faults and real crashes
+// kill it. A pipe is a link that never redials, so Serve runs the same
+// loop as ServeNet: its handshake carries no session, and its first
+// failed heartbeat send stops the beater.
 func Serve(cfg ServeConfig) error {
 	if cfg.Transport == nil || cfg.Eval == nil {
 		return fmt.Errorf("fleet: Serve needs Transport and Eval")
@@ -82,42 +85,304 @@ func Serve(cfg ServeConfig) error {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	tr := cfg.Transport
-	wo := &workerObs{}
-	if err := tr.Send(Msg{Type: MsgReady, Fingerprint: cfg.Fingerprint}); err != nil {
+	lk := &link{fingerprint: cfg.Fingerprint, heartbeat: cfg.Heartbeat, missLimit: 1, tr: cfg.Transport}
+	return lk.serve(cfg.Eval, cfg.Fault)
+}
+
+// link is a worker's connection to its coordinator: one live transport
+// plus the session state (in-flight lease, pending reply) that must
+// survive a reconnect so the handshake can resume the session instead
+// of abandoning its work. A network link redials; a pipe link has no
+// dial, so its redial fails at once with the error that broke it.
+type link struct {
+	fingerprint string
+	// session identifies a network worker across reconnects; empty
+	// for a pipe, whose identity is the pipe itself.
+	session   string
+	heartbeat time.Duration
+	// missLimit is how many consecutive failed heartbeat sends declare
+	// the link dead.
+	missLimit int
+	// dial opens a fresh transport (nil for a pipe). Dial attempts back
+	// off capped-exponentially from backoff, up to maxDials per redial.
+	dial     func() (Transport, error)
+	backoff  time.Duration
+	maxDials int
+
+	// mu serializes redials; gen increments per established
+	// connection so concurrent failure observers (the heartbeat
+	// goroutine, the main loop) trigger at most one redial each. err
+	// is set once the dial budget is spent: the link is gone for good.
+	mu  sync.Mutex
+	tr  Transport
+	gen int
+	err error
+
+	// stateMu guards the resume state carried across reconnects.
+	stateMu   sync.Mutex
+	lastLease int64
+	pending   *Msg
+}
+
+// current returns the live transport and its generation.
+func (lk *link) current() (Transport, int) {
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	return lk.tr, lk.gen
+}
+
+// setLease records a newly granted lease. A new grant also proves the
+// previous pending reply was delivered (or its lease superseded), so
+// it is dropped.
+func (lk *link) setLease(id int64) {
+	lk.stateMu.Lock()
+	lk.lastLease = id
+	lk.pending = nil
+	lk.stateMu.Unlock()
+}
+
+// setPending records the reply for the in-flight lease so a reconnect
+// can re-offer it: the reply is either the first delivery or a
+// duplicate the coordinator's dedup refuses — never lost.
+func (lk *link) setPending(m Msg) {
+	lk.stateMu.Lock()
+	lk.pending = &m
+	lk.stateMu.Unlock()
+}
+
+// resume snapshots the session state for a handshake.
+func (lk *link) resume() (int64, *Msg) {
+	lk.stateMu.Lock()
+	defer lk.stateMu.Unlock()
+	return lk.lastLease, lk.pending
+}
+
+// open makes the first connection: a pipe handshakes on its one
+// transport, a network link dials.
+func (lk *link) open() error {
+	if lk.dial == nil {
+		lk.gen = 1
+		return lk.handshake(lk.tr)
+	}
+	_, err := lk.redial(0, nil)
+	return err
+}
+
+// redial re-establishes the link after the connection of generation
+// gen failed with cause. Single-flight: a concurrent observer of the
+// same dead generation blocks and then reuses the fresh connection. A
+// pipe cannot come back, so its redial returns cause. A network link's
+// dial attempts back off capped-exponentially up to maxDials; past
+// that the worker gives up and the error is returned.
+func (lk *link) redial(gen int, cause error) (Transport, error) {
+	lk.mu.Lock()
+	defer lk.mu.Unlock()
+	if lk.err != nil {
+		return nil, lk.err
+	}
+	if lk.gen != gen {
+		return lk.tr, nil
+	}
+	if lk.dial == nil {
+		return nil, cause
+	}
+	if lk.tr != nil {
+		lk.tr.Close()
+		lk.tr = nil
+	}
+	backoff := lk.backoff
+	for attempt := 1; ; attempt++ {
+		tr, err := lk.dialOnce()
+		if err == nil {
+			lk.tr = tr
+			lk.gen++
+			return tr, nil
+		}
+		if attempt >= lk.maxDials {
+			lk.err = fmt.Errorf("fleet: giving up after %d dial attempt(s): %w", attempt, err)
+			return nil, lk.err
+		}
+		time.Sleep(backoff)
+		if backoff < 32*lk.backoff {
+			backoff *= 2
+		}
+	}
+}
+
+// dialOnce makes one connection and resumes the session on it.
+func (lk *link) dialOnce() (Transport, error) {
+	tr, err := lk.dial()
+	if err != nil {
+		return nil, err
+	}
+	if err := lk.handshake(tr); err != nil {
+		tr.Close()
+		return nil, err
+	}
+	return tr, nil
+}
+
+// handshake sends ready with the fingerprint, the session ID, and the
+// in-flight lease, then re-offers a pending reply (the coordinator's
+// dedup refuses it if the first copy landed).
+func (lk *link) handshake(tr Transport) error {
+	last, pending := lk.resume()
+	if err := tr.Send(Msg{Type: MsgReady, Fingerprint: lk.fingerprint,
+		Session: lk.session, LastLease: last}); err != nil {
 		return err
 	}
+	if pending != nil {
+		return tr.Send(*pending)
+	}
+	return nil
+}
+
+// sendReply delivers a lease's reply, reconnecting on failure (the
+// redial's handshake re-offers the pending reply itself).
+func (lk *link) sendReply(m Msg) error {
+	tr, gen := lk.current()
+	if tr == nil {
+		// A heartbeat's redial already spent the dial budget.
+		_, err := lk.redial(gen, nil)
+		return err
+	}
+	if err := tr.Send(m); err != nil {
+		_, rerr := lk.redial(gen, err)
+		return rerr
+	}
+	return nil
+}
+
+// heartbeats beats on the link until stopped; the returned stop waits
+// for the beater to exit so a heartbeat can never trail the lease's
+// result frame. missLimit consecutive failed sends declare the link
+// dead and redial it: a network link rides out flaky sends and
+// reconnects, while a pipe (limit 1, no redial) stops beating at the
+// first failure, because the coordinator is gone. Each beat
+// piggybacks the worker's pending observability payload when shipping
+// is on.
+func (lk *link) heartbeats(lease int64, wo *workerObs) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(lk.heartbeat)
+		defer t.Stop()
+		misses := 0
+		for {
+			select {
+			case <-t.C:
+				tr, gen := lk.current()
+				if tr == nil {
+					return
+				}
+				hb := Msg{Type: MsgHeartbeat, Lease: lease}
+				if wo != nil {
+					wo.attach(&hb)
+				}
+				if err := tr.Send(hb); err != nil {
+					misses++
+					if misses >= lk.missLimit {
+						misses = 0
+						if _, rerr := lk.redial(gen, err); rerr != nil {
+							return
+						}
+					}
+					continue
+				}
+				misses = 0
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
+// serve runs the lease loop on the link: handshake, serve leases, and
+// ride out connection losses by reconnecting with session resume —
+// in-flight work is never abandoned, and its reply is delivered
+// exactly once (the coordinator's monotonic-lease dedup refuses
+// duplicates). It returns nil on an orderly shutdown frame or EOF on a
+// link that cannot come back, and an error when the link is gone
+// otherwise.
+func (lk *link) serve(eval search.Evaluator, fault WorkerFaults) error {
+	if err := lk.open(); err != nil {
+		return err
+	}
+	wo := &workerObs{}
+	// gotFrame tracks whether the current connection delivered anything:
+	// a connection dropped before its first frame (a full pool, a
+	// partition window) earns a backoff so redials cannot hot-spin.
+	gotFrame := false
+	lastGen := 1
 	for {
+		tr, gen := lk.current()
+		if gen != lastGen {
+			lastGen, gotFrame = gen, false
+		}
 		m, err := tr.Recv()
 		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe) {
-				return nil
+			if !gotFrame && lk.dial != nil {
+				time.Sleep(lk.backoff)
 			}
-			return err
+			if _, rerr := lk.redial(gen, err); rerr != nil {
+				if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrClosedPipe) {
+					return nil
+				}
+				return rerr
+			}
+			continue
 		}
+		gotFrame = true
 		switch m.Type {
 		case MsgShutdown:
+			tr.Close()
 			return nil
 		case MsgLease:
-			wo.enable(m.Obs, cfg.Eval)
-			cfg.Fault.preEval(m.Key, m.Attempt)
-			stop := heartbeats(tr, m.Lease, cfg.Heartbeat, wo)
+			if last, pending := lk.resume(); m.Lease == last && last != 0 {
+				// A duplicated grant of work this session already holds:
+				// re-offer the reply if it is done, ignore otherwise.
+				if pending != nil {
+					if err := lk.sendReply(*pending); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			lk.setLease(m.Lease)
+			wo.enable(m.Obs, eval)
+			fault.preEval(m.Key, m.Attempt)
+			stop := lk.heartbeats(m.Lease, wo)
 			sp := wo.leaseSpan(m)
-			ev, fault, faulted, persistent := runEval(cfg.Eval, m.Assignment, sp, wo.registry())
-			cfg.Fault.preReply(m.Key, m.Attempt)
+			ev, msg, faulted, persistent := runEval(eval, m.Assignment, sp, wo.registry())
+			fault.preReply(m.Key, m.Attempt)
 			stop()
 			var reply Msg
 			if faulted {
-				reply = Msg{Type: MsgFault, Lease: m.Lease, Fault: fault, Persistent: persistent}
+				reply = Msg{Type: MsgFault, Lease: m.Lease, Fault: msg, Persistent: persistent}
 			} else {
-				rec := journal.FromEvaluation(cfg.Fingerprint, ev)
+				rec := journal.FromEvaluation(lk.fingerprint, ev)
 				reply = Msg{Type: MsgResult, Lease: m.Lease, Result: &rec}
 			}
-			if err := wo.shipOverflow(tr.Send, m.Lease); err != nil {
-				return err
-			}
+			// Overflow span batches go out best-effort on the live link
+			// (a dead link loses them; the reply itself is what session
+			// resume protects). The reply's own obs payload is attached
+			// before setPending so a re-offered duplicate carries the
+			// same sequence number and the coordinator splices it at
+			// most once.
+			wo.shipOverflow(func(hb Msg) {
+				if tr, _ := lk.current(); tr != nil {
+					_ = tr.Send(hb)
+				}
+			}, m.Lease)
 			wo.attach(&reply)
-			if err := tr.Send(reply); err != nil {
+			lk.setPending(reply)
+			if err := lk.sendReply(reply); err != nil {
 				return err
 			}
 		}
@@ -227,7 +492,7 @@ func (wo *workerObs) attach(m *Msg) {
 // shipOverflow flushes span batches beyond what the next reply frame
 // can carry as extra heartbeat frames, keeping every frame under
 // MaxFrame no matter how many spans one evaluation produced.
-func (wo *workerObs) shipOverflow(send func(Msg) error, lease int64) error {
+func (wo *workerObs) shipOverflow(send func(Msg), lease int64) {
 	for {
 		wo.mu.Lock()
 		if wo.tracer != nil {
@@ -236,13 +501,11 @@ func (wo *workerObs) shipOverflow(send func(Msg) error, lease int64) error {
 		over := len(wo.pending) > MaxSpanBatch
 		wo.mu.Unlock()
 		if !over {
-			return nil
+			return
 		}
 		hb := Msg{Type: MsgHeartbeat, Lease: lease}
 		wo.attach(&hb)
-		if err := send(hb); err != nil {
-			return err
-		}
+		send(hb)
 	}
 }
 
@@ -277,40 +540,6 @@ func (f *WorkerFaults) preReply(key string, attempt int) {
 func killSelf() {
 	syscall.Kill(os.Getpid(), syscall.SIGKILL)
 	select {} // unreachable; SIGKILL cannot be handled
-}
-
-// heartbeats beats on the transport until stopped; the returned stop
-// waits for the beater to exit so a heartbeat can never trail the
-// lease's result frame. Each beat piggybacks the worker's pending
-// observability payload (spans drained so far, current metric
-// snapshot) when shipping is on.
-func heartbeats(tr Transport, lease int64, every time.Duration, wo *workerObs) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				hb := Msg{Type: MsgHeartbeat, Lease: lease}
-				if wo != nil {
-					wo.attach(&hb)
-				}
-				if tr.Send(hb) != nil {
-					return
-				}
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
 }
 
 // runEval evaluates one lease, converting a panic into a fault reply.
