@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -127,6 +128,63 @@ func TestJournalResumeOfFinishedRun(t *testing.T) {
 	after, _ := os.ReadFile(path)
 	if string(before) != string(after) {
 		t.Error("replaying a finished run modified the journal")
+	}
+}
+
+// TestCheckpointWriteFailureStopsRun: a failed checkpoint write stops
+// the run before its next evaluation. Run returns no result and the
+// write error, the journal keeps the one record written before the
+// failure and nothing after it, and once the fault is cleared -resume
+// finishes with a journal byte-identical to an uninterrupted run's.
+func TestCheckpointWriteFailureStopsRun(t *testing.T) {
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.jsonl")
+	if _, err, fault := runJournaled(t, Options{Seed: 1, Parallelism: 2, JournalPath: refPath}); err != nil || fault != nil {
+		t.Fatalf("reference run: err=%v fault=%v", err, fault)
+	}
+	refBytes, err := os.ReadFile(refPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A non-empty directory at the checkpoint path makes the rename in
+	// SaveCheckpoint fail, even for root.
+	path := filepath.Join(dir, "j.jsonl")
+	ckpt := journal.CheckpointPath(path)
+	if err := os.MkdirAll(filepath.Join(ckpt, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	evaluated := 0
+	res, err, fault := runJournaled(t, Options{
+		Seed: 1, Parallelism: 2, JournalPath: path,
+		Progress: func(*search.Evaluation) { evaluated++ },
+	})
+	if fault != nil {
+		t.Fatalf("unexpected fault %v", fault)
+	}
+	var le *os.LinkError
+	if res != nil || !errors.As(err, &le) || le.Op != "rename" {
+		t.Fatalf("Run = (%v, %v), want (nil, the rename error)", res, err)
+	}
+	if evaluated != 2 {
+		t.Errorf("%d evaluations reached Progress, want the first batch's 2", evaluated)
+	}
+	if _, recs, err := journal.Inspect(path); err != nil || len(recs) != 1 {
+		t.Errorf("journal holds %d record(s) (err %v), want exactly 1", len(recs), err)
+	}
+
+	if err := os.RemoveAll(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err, fault := runJournaled(t, Options{Seed: 1, Parallelism: 2, JournalPath: path, Resume: true}); err != nil || fault != nil {
+		t.Fatalf("resume: err=%v fault=%v", err, fault)
+	}
+	gotBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotBytes) != string(refBytes) {
+		t.Errorf("resumed journal differs from uninterrupted journal (%d vs %d bytes)", len(gotBytes), len(refBytes))
 	}
 }
 

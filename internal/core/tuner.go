@@ -15,6 +15,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
@@ -252,16 +253,18 @@ type Result struct {
 	// was not supervised).
 	Resilience *resilience.Stats
 	// Aborted is set when the supervisor terminated the search early
-	// (circuit breaker / quarantine budget); the Result then holds the
-	// partial work completed before the abort, and Run returns the same
-	// value as its error.
+	// (circuit breaker / quarantine budget) and the search returned the
+	// abort as its error; the Result then holds the partial work
+	// completed before the abort, and Run returns the same value as its
+	// error.
 	Aborted *resilience.AbortError
 	// Cancelled is set when the run's context was cancelled — a signal
 	// or an expired wall-clock budget stopped the search in an orderly
-	// fashion. The Result holds the partial work completed (and
-	// journaled) before the stop, and Run returns the same value as its
-	// error; with a journal, a -resume run completes the search and
-	// produces a byte-identical journal.
+	// fashion, and the search returned the stop as its error. The Result
+	// holds the partial work completed (and journaled) before the stop,
+	// and Run returns the same value as its error; with a journal, a
+	// -resume run completes the search and produces a byte-identical
+	// journal.
 	Cancelled *search.Cancelled
 	// Metrics is the final snapshot of Options.Metrics (nil when the run
 	// collected no metrics); Render embeds it in the report.
@@ -287,7 +290,6 @@ type Tuner struct {
 	baseProcCalls map[string]int64
 	baseTimeEq1   float64 // Eq. (1) numerator (median of n noisy samples)
 
-	log        *search.Log
 	mu         sync.Mutex // guards procPoints, evalSeq, Progress calls
 	evalSeq    int
 	procPoints map[string]map[string]*ProcPoint
@@ -296,7 +298,7 @@ type Tuner struct {
 	// runCtx is the hard-cancellation context of the current Run: once
 	// it is done, in-flight interpreter runs unwind with FailCancelled.
 	// Written once before the search spawns workers (the go statement
-	// establishes the happens-before), nil when Run was given no context.
+	// establishes the happens-before), nil when Options.DrainGrace is 0.
 	runCtx context.Context
 }
 
@@ -769,11 +771,6 @@ func (t *Tuner) searchParams() (search.Criteria, int) {
 	return criteria, budget
 }
 
-// journalAbort carries a journal write failure out of the search: if
-// the crash-safety layer cannot persist an evaluation, continuing to
-// burn evaluations that would be lost on a crash defeats its purpose.
-type journalAbort struct{ err error }
-
 // journalState is everything openJournal replays from disk: the journal
 // itself, warm-start evaluations, and — when the run is supervised —
 // the events sidecar with its quarantine and salvage records.
@@ -869,117 +866,91 @@ func (t *Tuner) openJournal(withEvents bool) (*journalState, error) {
 	return js, nil
 }
 
-// Run performs the full search and assembles the result. With
-// Options.JournalPath set, the search is crash-safe: every evaluation
-// is journaled and fsync'd as it completes, and with Options.Resume a
-// prior journal is replayed so no evaluated variant is ever re-run.
-//
-// ctx bounds the run's lifetime (nil never cancels). Cancellation is
-// two-phase: the moment ctx is done no *new* evaluation starts (the
-// soft stop), and after Options.DrainGrace in-flight evaluations are
-// hard-stopped mid-interpretation (with DrainGrace 0 they drain to
-// completion). Either way the search unwinds in an orderly fashion: the
-// journal keeps the completed deterministic prefix, completed siblings
-// are salvaged to the events sidecar, the stop itself is recorded as a
-// sidecar "cancelled" event (never in the journal proper), and Run
-// returns the partial Result together with the *search.Cancelled error.
-// A -resume run completes the search and produces a journal
-// byte-identical to an uninterrupted run's.
-//
-// With a resilience knob set (Retries/FailFast/Breaker/MaxQuarantined/
-// Watchdog/RetriesByClass) the evaluator runs under a
-// resilience.Supervised wrapper. If the supervisor aborts the search —
-// circuit breaker tripped or quarantine budget exhausted — Run returns
-// the partial Result *and* the *resilience.AbortError: the completed
-// work (log, journal, best variant so far) is preserved for graceful
-// degradation, while the error signals that the search did not finish.
-func (t *Tuner) Run(ctx context.Context) (*Result, error) {
-	criteria, budget := t.searchParams()
-	start := time.Now()
+// runSinks is everything a run writes besides its Result: the journal
+// with its checkpoint and events sidecar, and the decision log. Every
+// resume-critical write goes through write, which stops the run at the
+// first failure: if the crash-safety layer cannot persist an evaluation,
+// continuing to burn evaluations that would be lost on a crash defeats
+// its purpose.
+type runSinks struct {
+	js   *journalState       // nil without a journal
+	dlog *ledger.DecisionLog // nil without a decision log
 
-	// The run's root trace span. Everything below hangs off it, so the
-	// per-phase self times of the trace telescope to its duration.
-	root := t.opts.Trace.Root(obs.SpanTune)
-	root.Attr("model", t.model.Name)
-	root.AttrInt("budget", int64(budget))
-	defer root.End()
+	mu   sync.Mutex
+	err  error                   // the first failed write, latched
+	stop context.CancelCauseFunc // cancels the run's context with err
+}
 
-	// Two-phase cancellation: ctx itself is the soft stop (gates new
-	// evaluations in the search layer); the hard context reaches the
-	// interpreter and fires DrainGrace later, cutting in-flight
-	// evaluations short. With DrainGrace 0 there is no hard stop.
-	t.runCtx = nil
-	if ctx != nil && t.opts.DrainGrace > 0 {
-		hard, cancelHard := context.WithCancelCause(context.Background())
-		stop := make(chan struct{})
-		defer close(stop)
-		defer cancelHard(nil)
-		go func() {
-			select {
-			case <-ctx.Done():
-				timer := time.NewTimer(t.opts.DrainGrace)
-				defer timer.Stop()
-				select {
-				case <-timer.C:
-					cancelHard(context.Cause(ctx))
-				case <-stop:
-				}
-			case <-stop:
-			}
-		}()
-		t.runCtx = hard
+// write performs one durable append unless an earlier one failed. The
+// first failure latches and cancels the run's context, and every later
+// append is skipped, so the journal stays an exact, gap-free prefix of
+// the evaluation order. write is safe for concurrent use: supervisor
+// events arrive on evaluation goroutines.
+func (s *runSinks) write(do func() error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return
 	}
-	// The log is pre-created (rather than left to the search) so the
-	// completed evaluations survive a supervised abort's unwind and can
-	// back the partial report.
-	log := search.NewLog()
-	sopts := search.Options{
-		Criteria:       criteria,
-		MaxEvaluations: budget,
-		Parallelism:    t.opts.Parallelism,
-		Log:            log,
-		Span:           root,
-		Metrics:        t.opts.Metrics,
+	if err := do(); err != nil {
+		s.err = err
+		s.stop(err)
 	}
-	supervising := t.opts.supervising()
+}
 
-	var dlog *ledger.DecisionLog
+// failed returns the latched write failure, if any.
+func (s *runSinks) failed() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+func (s *runSinks) close() {
+	if s.js != nil {
+		s.js.close()
+	}
+	if s.dlog != nil {
+		s.dlog.Close() // idempotent; settle's Close is the one that reports
+	}
+}
+
+// openSinks opens the decision log and the journal, and hooks them into
+// the search options: OnAdd journals each fresh evaluation and then
+// rewrites the checkpoint, OnSalvage records salvaged siblings in the
+// events sidecar.
+func (t *Tuner) openSinks(stop context.CancelCauseFunc, root *obs.Span, sopts *search.Options) (*runSinks, error) {
+	s := &runSinks{stop: stop}
 	if t.opts.DecisionPath != "" {
 		dl, err := ledger.CreateDecisionLog(t.opts.DecisionPath, t.Fingerprint(), t.model.Name)
 		if err != nil {
 			return nil, err
 		}
 		dl.SetMetrics(t.opts.Metrics)
-		defer dl.Close() // safety net; the explicit Close below is the real one
+		s.dlog = dl
 		sopts.Decisions = dl
-		dlog = dl
 	}
-
-	resumed, salvaged := 0, 0
-	var jnl *journal.Journal
-	var events *journal.EventLog
-	var preQuarantined map[string]string
-	if t.opts.JournalPath != "" {
-		js, err := t.openJournal(supervising)
-		if err != nil {
-			return nil, err
-		}
-		defer js.close()
-		jnl, events, preQuarantined = js.jnl, js.events, js.quarantined
-		resumed = len(js.warm)
-		salvaged = len(js.salvaged)
-		fp := jnl.Header().Fingerprint
-		ckptPath := journal.CheckpointPath(t.opts.JournalPath)
-		sopts.Warm = js.warm
-		sopts.Salvaged = js.salvaged
-		sopts.OnAdd = func(ev *search.Evaluation, replayed bool) {
+	if t.opts.JournalPath == "" {
+		return s, nil
+	}
+	js, err := t.openJournal(t.opts.supervising())
+	if err != nil {
+		s.close()
+		return nil, err
+	}
+	s.js = js
+	fp := js.jnl.Header().Fingerprint
+	ckptPath := journal.CheckpointPath(t.opts.JournalPath)
+	sopts.Warm = js.warm
+	sopts.Salvaged = js.salvaged
+	sopts.OnAdd = func(ev *search.Evaluation, replayed bool) {
+		s.write(func() error {
 			if !replayed {
 				jsp := root.Child(obs.SpanJournalAppend)
 				jsp.AttrInt("index", int64(ev.Index))
-				err := jnl.Append(journal.FromEvaluation(fp, ev))
+				err := js.jnl.Append(journal.FromEvaluation(fp, ev))
 				jsp.End()
 				if err != nil {
-					panic(journalAbort{err})
+					return err
 				}
 				if m := t.opts.Metrics; m != nil {
 					m.Counter(obs.MetricJournalAppends).Add(1)
@@ -987,28 +958,34 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 			}
 			// The checkpoint is rewritten after the journal append is
 			// durable, so it can lag the journal but never lead it.
-			if err := journal.SaveCheckpoint(ckptPath, journal.Checkpoint{
+			return journal.SaveCheckpoint(ckptPath, journal.Checkpoint{
 				Fingerprint: fp, Model: t.model.Name, Evaluations: ev.Index,
-			}); err != nil {
-				panic(journalAbort{err})
-			}
-		}
-		if events != nil {
-			ev := events
-			sopts.OnSalvage = func(e *search.Evaluation) {
-				rec := journal.FromEvaluation(fp, e)
-				if err := ev.Append(journal.EventRecord{
-					Type: journal.EventSalvaged, AKey: rec.AKey, Rec: &rec,
-				}); err != nil {
-					panic(journalAbort{err})
-				}
-			}
+			})
+		})
+	}
+	if events := js.events; events != nil {
+		sopts.OnSalvage = func(e *search.Evaluation) {
+			rec := journal.FromEvaluation(fp, e)
+			s.write(func() error {
+				return events.Append(journal.EventRecord{Type: journal.EventSalvaged, AKey: rec.AKey, Rec: &rec})
+			})
 		}
 	}
+	return s, nil
+}
 
+// evaluatorStack builds the evaluator the search calls: the tuner itself,
+// wrapped by Options.WrapEvaluator, sharded by the fleet coordinator
+// (started here; the caller closes it), and supervised. The supervisor
+// is returned too (nil when the run is not supervised) for its Stats.
+func (t *Tuner) evaluatorStack(s *runSinks) (search.Evaluator, *resilience.Supervised, error) {
 	evaluator := search.Evaluator(t)
 	if t.opts.WrapEvaluator != nil {
 		evaluator = t.opts.WrapEvaluator(evaluator)
+	}
+	var events *journal.EventLog
+	if s.js != nil {
+		events = s.js.events
 	}
 	if coord := t.opts.Fleet; coord != nil {
 		rt := fleet.Runtime{
@@ -1021,119 +998,119 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 			Trace:       t.opts.Trace,
 		}
 		if events != nil {
-			ev := events
 			rt.OnEvent = func(e fleet.Event) {
 				// Fleet events are telemetry, not resume state (the
 				// resume-critical quarantine/salvage records travel the
-				// supervisor path below with journalAbort semantics), and
-				// they fire on coordinator goroutines where a panic would
-				// not unwind the search — so appends are best-effort.
+				// latched supervisor and salvage paths), so appends are
+				// best-effort.
 				rec := journal.EventRecord{
 					Type: e.Type, AKey: e.Key, Attempt: e.Attempt,
 					Fault: e.Detail, Kind: e.Kind,
 				}
 				rec.SetWorker(e.Worker)
-				_ = ev.Append(rec)
+				_ = events.Append(rec)
 			}
 		}
 		if err := coord.Start(t.runCtx, rt); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		defer coord.Close()
 		evaluator = coord
 	}
-	var sup *resilience.Supervised
-	if supervising {
-		breaker := t.opts.Breaker
-		if t.opts.FailFast && (breaker == 0 || breaker > 1) {
-			breaker = 1
-		}
-		sup = &resilience.Supervised{
-			Inner:          evaluator,
-			MaxRetries:     t.opts.Retries,
-			RetriesByKind:  t.opts.RetriesByClass,
-			Watchdog:       t.opts.Watchdog,
-			Breaker:        breaker,
-			HalfOpen:       t.opts.HalfOpen,
-			MaxQuarantined: t.opts.MaxQuarantined,
-			Backoff:        resilience.Backoff{Base: t.opts.RetryBackoff, Seed: t.opts.Seed},
-			Metrics:        t.opts.Metrics,
-		}
-		if t.opts.Fleet != nil && t.opts.Retries == 0 && len(t.opts.RetriesByClass) == 0 {
-			// A fleet with no retry budget would quarantine an assignment
-			// on its first worker death; give it the standard per-kind
-			// budgets so routine kills become lease reassignments.
-			sup.MaxRetries = DefaultFleetRetries
-			sup.RetriesByKind = resilience.DefaultRetryBudgets(DefaultFleetRetries)
-		}
-		if events != nil {
-			ev := events
-			sup.OnEvent = func(e resilience.Event) {
-				if err := ev.Append(journal.EventRecord{
+	if !t.opts.supervising() {
+		return evaluator, nil, nil
+	}
+	breaker := t.opts.Breaker
+	if t.opts.FailFast && (breaker == 0 || breaker > 1) {
+		breaker = 1
+	}
+	sup := &resilience.Supervised{
+		Inner:          evaluator,
+		MaxRetries:     t.opts.Retries,
+		RetriesByKind:  t.opts.RetriesByClass,
+		Watchdog:       t.opts.Watchdog,
+		Breaker:        breaker,
+		HalfOpen:       t.opts.HalfOpen,
+		MaxQuarantined: t.opts.MaxQuarantined,
+		Backoff:        resilience.Backoff{Base: t.opts.RetryBackoff, Seed: t.opts.Seed},
+		Metrics:        t.opts.Metrics,
+	}
+	if t.opts.Fleet != nil && t.opts.Retries == 0 && len(t.opts.RetriesByClass) == 0 {
+		// A fleet with no retry budget would quarantine an assignment
+		// on its first worker death; give it the standard per-kind
+		// budgets so routine kills become lease reassignments.
+		sup.MaxRetries = DefaultFleetRetries
+		sup.RetriesByKind = resilience.DefaultRetryBudgets(DefaultFleetRetries)
+	}
+	if events != nil {
+		sup.OnEvent = func(e resilience.Event) {
+			s.write(func() error {
+				return events.Append(journal.EventRecord{
 					Type: string(e.Type), AKey: e.Key, Attempt: e.Attempt,
 					Fault: e.Fault, Kind: e.Kind, BackoffNS: int64(e.Backoff),
-				}); err != nil {
-					panic(journalAbort{err})
-				}
-			}
+				})
+			})
 		}
-		for k, fault := range preQuarantined {
+		for k, fault := range s.js.quarantined {
 			sup.Quarantine(k, fault)
 		}
-		evaluator = sup
 	}
+	return sup, sup, nil
+}
 
-	outcome, abortErr, cancelErr, err := func() (out *search.Outcome, abort *resilience.AbortError, cancelled *search.Cancelled, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if ja, ok := r.(journalAbort); ok {
-					err = ja.err
-					return
-				}
-				if ae, ok := r.(*resilience.AbortError); ok {
-					abort = ae
-					return
-				}
-				if ce, ok := r.(*search.Cancelled); ok {
-					cancelled = ce
-					return
-				}
-				panic(r) // genuine crash (e.g. injected fault): propagate
+// armHardStop arms the second phase of cancellation: DrainGrace after
+// ctx is done, t.runCtx is cancelled, and in-flight interpreter runs
+// unwind mid-variant. With DrainGrace 0 there is no hard stop and
+// t.runCtx stays nil. It returns the disarm function.
+func (t *Tuner) armHardStop(ctx context.Context) (disarm func()) {
+	t.runCtx = nil
+	if t.opts.DrainGrace <= 0 {
+		return func() {}
+	}
+	hard, cancelHard := context.WithCancelCause(context.Background())
+	done := make(chan struct{})
+	go func() {
+		select {
+		case <-ctx.Done():
+			timer := time.NewTimer(t.opts.DrainGrace)
+			defer timer.Stop()
+			select {
+			case <-timer.C:
+				cancelHard(context.Cause(ctx))
+			case <-done:
 			}
-		}()
-		return search.Precimonious(ctx, evaluator, t.atoms, sopts), nil, nil, nil
-	}()
-	if err != nil {
-		return nil, err
-	}
-	if abortErr != nil || cancelErr != nil {
-		// Graceful degradation: the pre-created log holds everything that
-		// completed (and was journaled) before the abort or stop.
-		outcome = &search.Outcome{Log: log, Converged: false}
-	}
-	t.log = outcome.Log
-
-	// The orderly-shutdown record goes to the events sidecar, never the
-	// journal proper — an interrupted-then-resumed run must reproduce the
-	// uninterrupted journal byte for byte. An unsupervised run has no
-	// sidecar open; one is opened (or created) just for this record, and
-	// a failure to write it is tolerated: the journal and checkpoint
-	// already carry everything resume needs.
-	if cancelErr != nil && jnl != nil {
-		rec := journal.EventRecord{Type: journal.EventCancelled, Fault: cancelErr.Error()}
-		if events != nil {
-			_ = events.Append(rec)
-		} else if e, eerr := journal.OpenEvents(journal.EventsPath(t.opts.JournalPath), jnl.Header()); eerr == nil {
-			_ = e.Append(rec)
-			e.Close()
+		case <-done:
 		}
+	}()
+	t.runCtx = hard
+	return func() {
+		close(done)
+		cancelHard(nil)
 	}
+}
 
-	// The Done checkpoint is skipped on abort or cancellation: the search
-	// is not done, and a resumed run must pick up where this one stopped.
-	if jnl != nil && abortErr == nil && cancelErr == nil {
+// settle finishes the run once the search has stopped and assembles its
+// Result. stopped is the search's Abort, nil when it finished. A
+// finished run writes the Done checkpoint; a cancelled one records the
+// stop in the events sidecar. The fleet and the decision log are closed
+// before anything is snapshotted, so the fleet stats, the metrics
+// snapshot and the decision digest are final.
+func (t *Tuner) settle(s *runSinks, sup *resilience.Supervised, outcome *search.Outcome, stopped error) (*Result, error) {
+	criteria, _ := t.searchParams()
+	result := &Result{
+		Model:        t.model,
+		Options:      t.opts,
+		Baseline:     t.baseline,
+		Outcome:      outcome,
+		Criteria:     criteria,
+		ProcVariants: make(map[string][]ProcPoint),
+	}
+	errors.As(stopped, &result.Aborted)
+	errors.As(stopped, &result.Cancelled)
+	switch js := s.js; {
+	case js == nil:
+	case stopped == nil:
 		if err := journal.SaveCheckpoint(journal.CheckpointPath(t.opts.JournalPath), journal.Checkpoint{
-			Fingerprint: jnl.Header().Fingerprint,
+			Fingerprint: js.jnl.Header().Fingerprint,
 			Model:       t.model.Name,
 			Evaluations: len(outcome.Log.Evals),
 			Done:        true,
@@ -1142,51 +1119,47 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+	case result.Cancelled != nil:
+		// The orderly-shutdown record goes to the events sidecar, never
+		// the journal proper — an interrupted-then-resumed run must
+		// reproduce the uninterrupted journal byte for byte. An
+		// unsupervised run has no sidecar open; one is opened (or
+		// created) just for this record, and a failure to write it is
+		// tolerated: the journal and checkpoint already carry everything
+		// resume needs.
+		rec := journal.EventRecord{Type: journal.EventCancelled, Fault: result.Cancelled.Error()}
+		if js.events != nil {
+			_ = js.events.Append(rec)
+		} else if e, err := journal.OpenEvents(journal.EventsPath(t.opts.JournalPath), js.jnl.Header()); err == nil {
+			_ = e.Append(rec)
+			e.Close()
+		}
+	}
+	if js := s.js; js != nil {
+		result.Resumed = len(js.warm)
+		result.Salvaged = len(js.salvaged)
 	}
 
-	// Settle the fleet before snapshotting anything: Close is idempotent
-	// (the deferred Close becomes a no-op), and waiting for the worker
-	// loops here makes the Stats and Metrics snapshots final — late
-	// results and restarts in flight at search end are counted.
-	var fleetStats *fleet.Stats
+	// Close is idempotent (the deferred Close becomes a no-op), and
+	// waiting for the worker loops here counts late results and restarts
+	// in flight at search end.
 	if coord := t.opts.Fleet; coord != nil {
 		coord.Close()
-		st := coord.Stats()
-		fleetStats = &st
+		fs := coord.Stats()
+		result.Fleet = &fs
 	}
-
-	// Close the decision log before snapshotting metrics or archiving
-	// the manifest: the digest must cover the complete stream, and a
-	// sidecar write failure should surface on an otherwise-successful
-	// run rather than vanish (an aborted/cancelled run's partial result
-	// matters more than its telemetry, so the error is dropped there).
-	var decisionDigest string
-	var decisionEvents int64
-	if dlog != nil {
-		derr := dlog.Close()
-		decisionDigest = dlog.Digest()
-		decisionEvents = dlog.Events()
-		if derr != nil && abortErr == nil && cancelErr == nil {
-			return nil, derr
+	// The digest must cover the complete stream. A sidecar write failure
+	// surfaces on an otherwise-successful run rather than vanish; a
+	// stopped run's partial result matters more than its telemetry.
+	if s.dlog != nil {
+		if err := s.dlog.Close(); err != nil && stopped == nil {
+			return nil, err
 		}
 	}
 
-	result := &Result{
-		Model:        t.model,
-		Options:      t.opts,
-		Baseline:     t.baseline,
-		Outcome:      outcome,
-		Criteria:     criteria,
-		ProcVariants: make(map[string][]ProcPoint),
-		Resumed:      resumed,
-		Salvaged:     salvaged,
-		Aborted:      abortErr,
-		Cancelled:    cancelErr,
-		Fleet:        fleetStats,
-	}
 	if sup != nil {
-		st := sup.Stats()
-		result.Resilience = &st
+		rs := sup.Stats()
+		result.Resilience = &rs
 	}
 	if t.opts.Metrics != nil {
 		snap := t.opts.Metrics.Snapshot()
@@ -1205,34 +1178,107 @@ func (t *Tuner) Run(ctx context.Context) (*Result, error) {
 		sort.Slice(list, func(i, j int) bool { return list[i].FromIndex < list[j].FromIndex })
 		result.ProcVariants[q] = list
 	}
-
-	// Archive the run manifest. Aborted and cancelled runs archive too —
-	// a ledger that only remembers successes can't explain a regression —
-	// but like the decision sidecar, an archive failure only fails an
-	// otherwise-successful run.
-	if t.opts.LedgerDir != "" {
-		m := t.buildManifest(result, start, abortErr, cancelErr, decisionDigest, decisionEvents)
-		led, lerr := ledger.Open(t.opts.LedgerDir)
-		if lerr == nil {
-			_, lerr = led.Put(m)
-		}
-		if lerr != nil && abortErr == nil && cancelErr == nil {
-			return nil, lerr
-		}
-	}
-
-	if abortErr != nil {
-		return result, abortErr
-	}
-	if cancelErr != nil {
-		return result, cancelErr
-	}
 	return result, nil
+}
+
+// archive puts the run's manifest into the ledger at Options.LedgerDir.
+// Stopped runs archive too — a ledger that only remembers successes
+// can't explain a regression.
+func (t *Tuner) archive(res *Result, start time.Time, dlog *ledger.DecisionLog) error {
+	if t.opts.LedgerDir == "" {
+		return nil
+	}
+	m := t.buildManifest(res, start, dlog)
+	led, err := ledger.Open(t.opts.LedgerDir)
+	if err == nil {
+		_, err = led.Put(m)
+	}
+	return err
+}
+
+// Run performs the full search and assembles the result. With
+// Options.JournalPath set, the search is crash-safe: every evaluation
+// is journaled and fsync'd as it completes, and with Options.Resume a
+// prior journal is replayed so no evaluated variant is ever re-run.
+//
+// ctx bounds the run's lifetime (nil never cancels). Cancellation is
+// two-phase: the moment ctx is done no *new* evaluation starts (the
+// soft stop), and after Options.DrainGrace in-flight evaluations are
+// hard-stopped mid-interpretation (with DrainGrace 0 they drain to
+// completion). Either way the search stops in an orderly fashion: the
+// journal keeps the completed deterministic prefix, completed siblings
+// are salvaged to the events sidecar, the stop itself is recorded as a
+// sidecar "cancelled" event (never in the journal proper), and Run
+// returns the partial Result together with the *search.Cancelled error.
+// A -resume run completes the search and produces a journal
+// byte-identical to an uninterrupted run's.
+//
+// With a resilience knob set (Retries/FailFast/Breaker/MaxQuarantined/
+// Watchdog/RetriesByClass) the evaluator runs under a
+// resilience.Supervised wrapper. If the supervisor aborts the search —
+// circuit breaker tripped or quarantine budget exhausted — Run returns
+// the partial Result *and* the *resilience.AbortError: the completed
+// work (log, journal, best variant so far) is preserved for graceful
+// degradation, while the error signals that the search did not finish.
+//
+// A failed journal, checkpoint, salvage or supervisor-event write stops
+// the search before its next evaluation, and Run returns (nil, the
+// write error); the journal holds the prefix written before it.
+func (t *Tuner) Run(ctx context.Context) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	start := time.Now()
+	criteria, budget := t.searchParams()
+
+	// The run's root trace span. Everything below hangs off it, so the
+	// per-phase self times of the trace telescope to its duration.
+	root := t.opts.Trace.Root(obs.SpanTune)
+	root.Attr("model", t.model.Name)
+	root.AttrInt("budget", int64(budget))
+	defer root.End()
+	defer t.armHardStop(ctx)()
+
+	sopts := search.Options{
+		Criteria:       criteria,
+		MaxEvaluations: budget,
+		Parallelism:    t.opts.Parallelism,
+		Span:           root,
+		Metrics:        t.opts.Metrics,
+	}
+	sinks, err := t.openSinks(stop, root, &sopts)
+	if err != nil {
+		return nil, err
+	}
+	defer sinks.close()
+	evaluator, sup, err := t.evaluatorStack(sinks)
+	if err != nil {
+		return nil, err
+	}
+	if coord := t.opts.Fleet; coord != nil {
+		defer coord.Close()
+	}
+
+	outcome, stopped := search.Precimonious(ctx, evaluator, t.atoms, sopts)
+	if err := sinks.failed(); err != nil {
+		return nil, err
+	}
+
+	result, err := t.settle(sinks, sup, outcome, stopped)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.archive(result, start, sinks.dlog); err != nil && stopped == nil {
+		return nil, err
+	}
+	return result, stopped
 }
 
 // buildManifest assembles the run's ledger manifest from the completed
 // Result.
-func (t *Tuner) buildManifest(res *Result, start time.Time, abortErr *resilience.AbortError, cancelErr *search.Cancelled, decisionDigest string, decisionEvents int64) *ledger.Manifest {
+func (t *Tuner) buildManifest(res *Result, start time.Time, dlog *ledger.DecisionLog) *ledger.Manifest {
 	criteria, budget := t.searchParams()
 	m := &ledger.Manifest{
 		Kind: ledger.ManifestKind, V: ledger.ManifestVersion,
@@ -1263,15 +1309,17 @@ func (t *Tuner) buildManifest(res *Result, start time.Time, abortErr *resilience
 		Fleet:   res.Fleet,
 		Metrics: res.Metrics,
 
-		JournalPath:    t.opts.JournalPath,
-		DecisionPath:   t.opts.DecisionPath,
-		DecisionDigest: decisionDigest,
-		DecisionEvents: decisionEvents,
+		JournalPath:  t.opts.JournalPath,
+		DecisionPath: t.opts.DecisionPath,
 	}
-	if abortErr != nil {
+	if dlog != nil {
+		m.DecisionDigest = dlog.Digest()
+		m.DecisionEvents = dlog.Events()
+	}
+	if res.Aborted != nil {
 		m.Outcome = "aborted"
 	}
-	if cancelErr != nil {
+	if res.Cancelled != nil {
 		m.Outcome = "cancelled"
 	}
 	if len(res.Outcome.Log.Evals) > 0 {

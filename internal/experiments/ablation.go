@@ -81,11 +81,14 @@ func Ablation(ctx context.Context, seed int64) (*AblationResult, error) {
 	filter := staticeval.NewFilterFromRegions(tn.Program(), bl.Regions, bl.HotspotCycles)
 	fe := &filteringEvaluator{tuner: tn, filter: filter}
 	criteria := search.Criteria{MaxRelError: bl.Threshold, MinSpeedup: 1.0}
-	outcome := search.Precimonious(ctx, fe, tn.Atoms(), search.Options{
+	outcome, err := search.Precimonious(ctx, fe, tn.Atoms(), search.Options{
 		Criteria:       criteria,
 		MaxEvaluations: m.BudgetEvals,
 		Parallelism:    suiteParallelism(),
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	filtRow := core.TableRow{Model: m.Name, Converged: outcome.Converged}
 	total, pass, fail, timeout, errs := outcome.Log.Counts()

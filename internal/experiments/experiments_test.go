@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -153,6 +155,18 @@ func TestFig2Funarc(t *testing.T) {
 	}
 	if frac := float64(worse) / float64(completed); frac < 0.3 || frac > 0.98 {
 		t.Errorf("slower-than-baseline fraction %.0f%%, paper: ~67%%", 100*frac)
+	}
+}
+
+// TestFig2CancelledReturnsCancelled: a cancelled sweep is an orderly
+// stop, returned as a *search.Cancelled, not a panic out of BruteForce.
+func TestFig2CancelledReturnsCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r, err := Fig2(ctx, 1)
+	var cancelled *search.Cancelled
+	if !errors.As(err, &cancelled) {
+		t.Fatalf("Fig2 = (%v, %v), want a *search.Cancelled error", r, err)
 	}
 }
 

@@ -238,10 +238,10 @@ func TestEventsWorkerFieldRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEventsSyncModes pins the durability contract: SyncEveryAppend is
-// the default, and SyncOnClose still writes every record through to the
-// OS immediately — a process crash loses nothing, only a machine crash
-// can cost unsynced records.
+// TestEventsSyncModes pins the durability contract: every append is
+// written through to the file before Append returns, so a record
+// appended without Close — the process-crash case — is visible to a
+// fresh open.
 func TestEventsSyncModes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl.events")
 	h := eventsHeader()
@@ -249,31 +249,16 @@ func TestEventsSyncModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetSyncMode(SyncOnClose)
+	defer e.Close()
 	if err := e.Append(EventRecord{Type: EventRetry, AKey: "a1", Attempt: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Without Close (the process-crash case): the record is visible to a
-	// fresh open because writes go straight to the file.
 	e2, err := OpenEvents(path, h)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e2.Close()
 	if got := len(e2.Records()); got != 1 {
-		t.Errorf("after relaxed-mode append without close: %d records, want 1", got)
-	}
-	e2.Close()
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The default mode is the synced one: a fresh log needs no SetSyncMode
-	// call to get main-journal durability.
-	var fresh EventLog
-	if fresh.mode != SyncEveryAppend {
-		t.Error("zero-value sync mode is not SyncEveryAppend")
+		t.Errorf("after append without close: %d records, want 1", got)
 	}
 }

@@ -31,14 +31,11 @@
 package journal
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 
 	"repro/internal/search"
 )
@@ -138,15 +135,10 @@ func (r Record) Evaluation() (*search.Evaluation, error) {
 
 // Journal is an open journal file. Append is safe for concurrent use.
 type Journal struct {
-	path    string
+	lineFile
 	header  Header
-	mu      sync.Mutex
-	f       *os.File
 	records []Record
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Header returns the journal's header.
 func (j *Journal) Header() Header { return j.header }
@@ -168,13 +160,8 @@ func Create(path string, h Header) (*Journal, error) {
 			}
 		}
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	j := &Journal{path: path, header: h, f: f}
-	if err := j.writeLine(h); err != nil {
-		f.Close()
+	j := &Journal{header: h}
+	if err := j.create(path, h); err != nil {
 		return nil, err
 	}
 	return j, nil
@@ -208,21 +195,11 @@ func Open(path string, want Header) (*Journal, error) {
 		return nil, fmt.Errorf("journal: %s was recorded for a different configuration (model %q, fingerprint %.12s..., want %.12s...): the program source, machine model, seed, or search options changed — remove the journal or restore the original configuration",
 			path, h.Model, h.Fingerprint, want.Fingerprint)
 	}
-	// Reopen for appending, truncated to the last complete record.
-	goodLen := completeLen(raw)
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
+	j := &Journal{header: h, records: recs}
+	if err := j.reopen(path, raw); err != nil {
 		return nil, err
 	}
-	if err := f.Truncate(int64(goodLen)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(int64(goodLen), 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Journal{path: path, header: h, f: f, records: recs}, nil
+	return j, nil
 }
 
 // fillHeader applies the format constants.
@@ -236,45 +213,15 @@ func fillHeader(h *Header) {
 // their content keys must match the header fingerprint and their
 // indices must be contiguous from 1.
 func parse(raw []byte) (Header, []Record, error) {
-	sc := bufio.NewScanner(strings.NewReader(string(raw[:completeLen(raw)])))
-	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	if !sc.Scan() {
-		return Header{}, nil, fmt.Errorf("empty journal")
-	}
-	var h Header
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
-		return Header{}, nil, fmt.Errorf("bad header: %w", err)
-	}
-	var recs []Record
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return Header{}, nil, fmt.Errorf("bad record %d: %w", len(recs)+1, err)
-		}
+	return parseLines(raw, "record", func(h Header, r *Record, n int) error {
 		if r.Key != RecordKey(h.Fingerprint, r.AKey) {
-			return Header{}, nil, fmt.Errorf("record %d fails its content-key check (corrupt or copied from another journal)", len(recs)+1)
+			return fmt.Errorf("record %d fails its content-key check (corrupt or copied from another journal)", n)
 		}
-		if r.Index != len(recs)+1 {
-			return Header{}, nil, fmt.Errorf("record %d has index %d (journal reordered or spliced)", len(recs)+1, r.Index)
+		if r.Index != n {
+			return fmt.Errorf("record %d has index %d (journal reordered or spliced)", n, r.Index)
 		}
-		recs = append(recs, r)
-	}
-	return h, recs, nil
-}
-
-// completeLen returns the length of raw up to and including its last
-// newline: everything after it is a torn partial write.
-func completeLen(raw []byte) int {
-	for i := len(raw) - 1; i >= 0; i-- {
-		if raw[i] == '\n' {
-			return i + 1
-		}
-	}
-	return 0
+		return nil
+	})
 }
 
 // Append serializes one record, appends it as a line, and fsyncs before
@@ -284,37 +231,4 @@ func (j *Journal) Append(r Record) error {
 		r.Key = RecordKey(j.header.Fingerprint, r.AKey)
 	}
 	return j.writeLine(r)
-}
-
-func (j *Journal) writeLine(v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("journal: %s is closed", j.path)
-	}
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("journal: append to %s: %w", j.path, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: fsync %s: %w", j.path, err)
-	}
-	return nil
-}
-
-// Close releases the journal file. Appended records are already
-// durable; Close only invalidates the handle.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
 }

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -73,7 +74,10 @@ func logKeys(l *search.Log) []string {
 // retries absorb the noise without distorting Table II data.
 func TestSupervisedSearchLogIdenticalUnderFlakyFaults(t *testing.T) {
 	atoms, fe, opts := simTarget()
-	ref := search.Precimonious(nil, fe, atoms, opts)
+	ref, err := search.Precimonious(nil, fe, atoms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refKeys := logKeys(ref.Log)
 
 	for _, par := range []int{1, 8} {
@@ -81,7 +85,10 @@ func TestSupervisedSearchLogIdenticalUnderFlakyFaults(t *testing.T) {
 		opts2.Parallelism = par
 		inj := &search.FaultInjector{Inner: fe2, Mode: search.FaultFlaky, Rate: 0.3, Seed: 7}
 		s := &Supervised{Inner: inj, MaxRetries: 8, Sleep: func(time.Duration) {}}
-		out := search.Precimonious(nil, s, atoms2, opts2)
+		out, err := search.Precimonious(nil, s, atoms2, opts2)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		st := s.Stats()
 		if st.Quarantined != 0 {
@@ -111,7 +118,10 @@ func TestSupervisedSearchLogIdenticalUnderFlakyFaults(t *testing.T) {
 // 1-minimal set.
 func TestSupervisedSearchQuarantinesPoisonedAssignment(t *testing.T) {
 	atoms, fe, opts := simTarget()
-	ref := search.Precimonious(nil, fe, atoms, opts)
+	ref, err := search.Precimonious(nil, fe, atoms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refTotal, _, _, _, _ := ref.Log.Counts()
 
 	// Poison the all-32 variant: it is the very first proposal, and in
@@ -121,7 +131,10 @@ func TestSupervisedSearchQuarantinesPoisonedAssignment(t *testing.T) {
 	atoms2, fe2, opts2 := simTarget()
 	inj := &search.FaultInjector{Inner: fe2, Mode: search.FaultCrashKey, CrashKey: all32.Key()}
 	s := &Supervised{Inner: inj, MaxRetries: 2, Sleep: func(time.Duration) {}}
-	out := search.Precimonious(nil, s, atoms2, opts2)
+	out, err := search.Precimonious(nil, s, atoms2, opts2)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if got := out.Log.InfraCount(); got != 1 {
 		t.Fatalf("InfraCount = %d, want 1", got)
@@ -167,7 +180,10 @@ func (g *gatedCrash) Evaluate(a transform.Assignment) *search.Evaluation {
 // fault-free log without re-paying for the salvaged work.
 func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 	atoms, fe, opts := simTarget()
-	ref := search.Precimonious(nil, fe, atoms, opts)
+	ref, err := search.Precimonious(nil, fe, atoms, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	refKeys := logKeys(ref.Log)
 
 	// Trip on the all-32 variant — slot 0 of the opening 2-candidate
@@ -178,8 +194,6 @@ func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 	all32 := transform.Uniform(atoms, 4)
 	atoms2, fe2, opts2 := simTarget()
 	opts2.Parallelism = 2
-	log := search.NewLog()
-	opts2.Log = log
 	var salvaged []*search.Evaluation
 	opts2.OnSalvage = func(ev *search.Evaluation) {
 		cp := *ev
@@ -188,18 +202,10 @@ func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 	crash := &gatedCrash{inner: fe2, crash: all32.Key(), sibling: make(chan struct{})}
 	s := &Supervised{Inner: crash, Breaker: 1, Sleep: func(time.Duration) {}}
 
-	abort := func() (ae *AbortError) {
-		defer func() {
-			if r := recover(); r != nil {
-				var ok bool
-				if ae, ok = r.(*AbortError); !ok {
-					panic(r)
-				}
-			}
-		}()
-		search.Precimonious(nil, s, atoms2, opts2)
-		return nil
-	}()
+	stopped, err := search.Precimonious(nil, s, atoms2, opts2)
+	log := stopped.Log
+	var abort *AbortError
+	errors.As(err, &abort)
 	if abort == nil || abort.Reason != AbortBreaker {
 		t.Fatalf("abort = %+v, want breaker trip", abort)
 	}
@@ -228,7 +234,10 @@ func TestBreakerTripSalvagesSiblingsAndResumes(t *testing.T) {
 	opts3.OnAdd = func(ev *search.Evaluation, replayed bool) { replayedFresh = append(replayedFresh, replayed) }
 	s3 := &Supervised{Inner: fe3, MaxRetries: 2, Sleep: func(time.Duration) {}}
 	s3.Quarantine(all32.Key(), "search: injected crash on "+fmt.Sprintf("%q", all32.Key()))
-	out := search.Precimonious(nil, s3, atoms3, opts3)
+	out, err := search.Precimonious(nil, s3, atoms3, opts3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	got := logKeys(out.Log)
 	if len(got) != len(refKeys) {

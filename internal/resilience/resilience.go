@@ -29,10 +29,11 @@
 // infrastructure failures in a row mean the infrastructure itself is
 // down, and burning the remaining evaluation budget into it is worse
 // than failing fast. In its default configuration the breaker trips by
-// panicking with an *AbortError (a search.Abort), which the batched
-// search layer uses to salvage completed sibling results before
-// unwinding, and which the tuner converts into a partial report instead
-// of a stack trace. With HalfOpen set, tripping instead *opens* the
+// panicking with an *AbortError (a search.Abort) — Evaluate has no
+// error return — which the batched search layer recovers: it salvages
+// completed sibling results and returns the abort as the search's
+// error, and the tuner returns it with a partial report. With HalfOpen
+// set, tripping instead *opens* the
 // breaker: new evaluations block while a single probe evaluation tests
 // whether the infrastructure recovered; a successful probe closes the
 // breaker and the search resumes, while MaxProbes consecutive failed
@@ -171,9 +172,9 @@ func (r AbortReason) String() string {
 }
 
 // AbortError is the panic value the supervisor fails fast with. It
-// implements search.Abort, so the batched search salvages completed
-// sibling results before unwinding, and error, so the tuner can return
-// it alongside the partial result.
+// implements search.Abort, so the batched search recovers it, salvages
+// completed sibling results, and returns it as the search's error; the
+// tuner returns it alongside the partial result.
 type AbortError struct {
 	Reason AbortReason
 	// Consecutive is the consecutive hard-failure count at trip time.

@@ -22,33 +22,33 @@ import (
 // calling the evaluator at all. The evaluator must be safe for
 // concurrent use.
 //
-// Crash safety: if the evaluator panics, the completed results that
-// precede the first panic in batch order are still flushed to the log —
-// and through its OnAdd observer to any journal — before the original
-// panic value is re-raised on the caller's goroutine, so the log (and
-// journal) remain an exact prefix of the deterministic evaluation order.
+// Stops: the evaluator can stop the batch only by panicking, and this
+// is the one place above the Evaluator interface that recovers. The
+// completed results that precede the first panicked slot in batch
+// order are flushed to the log — and through its OnAdd observer to any
+// journal — so the log (and journal) remain an exact prefix of the
+// deterministic evaluation order. Then:
 //
-// What happens to completed results at or after the first panicked slot
-// depends on the panic:
-//
-//   - An uncontrolled crash (any ordinary panic value) discards them:
-//     nothing can be assumed about process state, and the journal prefix
-//     invariant is the resume contract.
 //   - A supervised Abort (a tripped circuit breaker failing the search
-//     fast, or a context cancellation) salvages every completed fresh
-//     result, in deterministic batch order, into Log.Salvaged — and
-//     through the OnSalvage observer to the journal's sidecar — before
-//     re-raising. They cannot enter the log proper (their deterministic
-//     slots were never reached), but a resumed search serves them from
-//     the warm cache, so a worker failure no longer silently wastes the
-//     paid-for evaluations of its siblings.
+//     fast, or a cancellation) salvages every completed fresh result
+//     past that slot, in deterministic batch order, into Log.Salvaged —
+//     and through the OnSalvage observer to the journal's sidecar — and
+//     is returned as the error. The salvaged results cannot enter the
+//     log proper (their deterministic slots were never reached), but a
+//     resumed search serves them from the warm cache, so a worker
+//     failure does not waste the paid-for evaluations of its siblings.
+//   - An uncontrolled crash (any other panic value) discards them and is
+//     re-raised on the caller's goroutine: nothing can be assumed about
+//     process state, and the journal prefix invariant is the resume
+//     contract.
 //
 // Cancellation: once ctx is done, no *new* evaluation starts — workers
-// that have not yet called the evaluator panic with a *Cancelled
-// (an Abort) instead, while in-flight evaluations drain normally and
-// are flushed or salvaged like any other completed sibling. Hard
-// cancellation of in-flight work is the evaluator's business (the tuner
-// threads a second, grace-delayed context into the interpreter).
+// that have not yet called the evaluator record a *Cancelled (an
+// Abort) in their slot instead, while in-flight evaluations drain
+// normally and are flushed or salvaged like any other completed
+// sibling. Hard cancellation of in-flight work is the evaluator's
+// business (the tuner threads a second, grace-delayed context into the
+// interpreter).
 //
 // Observability: when sp is non-nil the batch emits a "batch" span with
 // one "eval" child per fresh evaluation, attributed to the worker slot
@@ -57,7 +57,7 @@ import (
 // strictly observational — a nil span and nil registry take the
 // allocation-free no-op path and the evaluation order, results, and
 // journal bytes are identical either way.
-func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.Assignment, parallelism int, sp *obs.Span) []*Evaluation {
+func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.Assignment, parallelism int, sp *obs.Span) ([]*Evaluation, error) {
 	if parallelism < 1 {
 		parallelism = 1
 	}
@@ -105,7 +105,7 @@ func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.
 	}
 
 	fresh := make([]*Evaluation, len(jobs))
-	panics := make([]any, len(jobs))
+	stops := make([]any, len(jobs)) // a recovered panic or a *Cancelled
 	var wg sync.WaitGroup
 	// Worker slots double as trace attribution: an eval span carries the
 	// 1-based slot number that ran it (the trace viewer's tid).
@@ -125,7 +125,7 @@ func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					panics[ji] = r
+					stops[ji] = r
 				}
 			}()
 			var queued time.Time
@@ -140,7 +140,10 @@ func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.
 			// The last cancellation gate before paying for an evaluation:
 			// a done context stops new work while siblings already inside
 			// the evaluator drain.
-			checkCancelled(ctx)
+			if c := checkCancelled(ctx); c != nil {
+				stops[ji] = c
+				return
+			}
 			esp := bsp.Child(obs.SpanEval)
 			esp.SetWorker(w)
 			esp.Attr("key", jobs[ji].a.Key())
@@ -161,23 +164,25 @@ func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.
 	}
 	wg.Wait()
 
-	// Log in deterministic (batch) order, then resolve every slot. On a
-	// panic, flush the contiguous completed prefix; if the panic is a
-	// supervised Abort, additionally salvage the completed fresh results
-	// past the panicked slot (still in batch order) before re-raising.
+	// Log in deterministic (batch) order, then resolve every slot. At a
+	// stop, the contiguous completed prefix is already flushed; a
+	// supervised Abort additionally salvages the completed fresh results
+	// past the stopped slot (still in batch order) and is returned.
 	for ji := range jobs {
-		if r := panics[ji]; r != nil {
-			if _, ok := r.(Abort); ok {
-				for kj := ji + 1; kj < len(jobs); kj++ {
-					// Warm-served entries are already durable (as journal
-					// records or prior salvage events); only freshly paid-for
-					// evaluations need rescuing.
-					if panics[kj] == nil && fresh[kj] != nil && jobs[kj].warm == nil {
-						log.salvage(fresh[kj])
-					}
+		if r := stops[ji]; r != nil {
+			abort, ok := r.(Abort)
+			if !ok {
+				panic(r)
+			}
+			for kj := ji + 1; kj < len(jobs); kj++ {
+				// Warm-served entries are already durable (as journal
+				// records or prior salvage events); only freshly paid-for
+				// evaluations need rescuing.
+				if stops[kj] == nil && fresh[kj] != nil && jobs[kj].warm == nil {
+					log.salvage(fresh[kj])
 				}
 			}
-			panic(r)
+			return nil, abort
 		}
 		// A salvaged warm record was never durable in the journal proper:
 		// report it as fresh so the journal hook appends it at this index.
@@ -192,5 +197,5 @@ func batchEval(ctx context.Context, log *Log, eval Evaluator, batch []transform.
 		}
 		results[i] = ev
 	}
-	return results
+	return results, nil
 }

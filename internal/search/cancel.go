@@ -5,18 +5,19 @@ import (
 	"fmt"
 )
 
-// Cancelled is the panic value that unwinds a search when its context
-// is cancelled — a SIGINT/SIGTERM from the batch scheduler, an expired
+// Cancelled is the error a search returns when its context is
+// cancelled — a SIGINT/SIGTERM from the batch scheduler, an expired
 // wall-clock budget, or a hard cancellation after the drain grace
 // period. It implements Abort, so the batched evaluation layer flushes
 // the completed deterministic prefix to the log (and journal) and
-// salvages completed sibling results before the unwind: a cancelled
+// salvages completed sibling results before returning it: a cancelled
 // run's journal is always an exact, resumable prefix of the
 // uninterrupted run's.
 //
-// Cancellation is raised by panic, like *resilience.AbortError, so it
-// travels the same salvage-and-recover path; the tuner converts it into
-// a partial result instead of a stack trace.
+// Above the Evaluator interface a cancellation travels as this error;
+// beneath it (an evaluator cut short by a hard cancellation) it is
+// raised by panic, like *resilience.AbortError, and batchEval turns it
+// back into the error.
 type Cancelled struct {
 	// Err is the context error that triggered the stop
 	// (context.Canceled for a signal, context.DeadlineExceeded for a
@@ -45,10 +46,11 @@ func (c *Cancelled) SearchAbort() string { return c.Error() }
 // Unwrap exposes the underlying context error to errors.Is.
 func (c *Cancelled) Unwrap() error { return c.Err }
 
-// checkCancelled panics with a *Cancelled when ctx is done. A nil ctx
-// never cancels.
-func checkCancelled(ctx context.Context) {
+// checkCancelled returns a *Cancelled when ctx is done, and nil
+// otherwise. A nil ctx never cancels.
+func checkCancelled(ctx context.Context) *Cancelled {
 	if ctx != nil && ctx.Err() != nil {
-		panic(NewCancelled(ctx.Err()))
+		return NewCancelled(ctx.Err())
 	}
+	return nil
 }

@@ -11,7 +11,7 @@ import (
 func ExamplePrecimonious() {
 	atoms := mkAtoms(8)
 	eval := &fakeEval{atoms: atoms, critical: map[string]bool{"m.p.v02": true}}
-	out := Precimonious(nil, eval, atoms, Options{
+	out, _ := Precimonious(nil, eval, atoms, Options{
 		Criteria: Criteria{MaxRelError: 1e-3, MinSpeedup: 1.0},
 	})
 	sort.Strings(out.Minimal)

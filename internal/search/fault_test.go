@@ -43,7 +43,10 @@ func journaled(atoms []transform.Atom, eval Evaluator, opts Options) (out *Outco
 			fault = f
 		}
 	}()
-	out = Precimonious(nil, eval, atoms, opts)
+	out, err := Precimonious(nil, eval, atoms, opts)
+	if err != nil {
+		panic(err)
+	}
 	return
 }
 

@@ -17,7 +17,8 @@ type Outcome struct {
 	Final *Evaluation
 	// Log records every variant explored, in evaluation order.
 	Log *Log
-	// Converged is false if the search stopped on budget.
+	// Converged is false if the search stopped on budget, or was stopped
+	// by an Abort.
 	Converged bool
 }
 
@@ -56,15 +57,9 @@ type Options struct {
 	// (and fsyncs) fresh records from this hook.
 	OnAdd func(ev *Evaluation, replayed bool)
 	// OnSalvage observes evaluations salvaged when a supervised abort
-	// unwinds a batch (completed results past the panicked slot). The
+	// stops a batch (completed results past the stopped slot). The
 	// crash journal persists these to its events sidecar.
 	OnSalvage func(ev *Evaluation)
-	// Log, if non-nil, is the (empty) evaluation log the search records
-	// into, instead of creating its own. Callers that must render a
-	// partial report when the search aborts by panic — the resilience
-	// supervisor's circuit breaker fails fast this way — pre-create the
-	// log so the completed work survives the unwind.
-	Log *Log
 	// Span, if non-nil, is the parent span under which the search emits
 	// "search.round"/"batch"/"eval" trace spans. Metrics, if non-nil,
 	// receives counters and histograms. Both are purely observational:
@@ -89,15 +84,15 @@ type Options struct {
 //
 // ctx bounds the search's lifetime (nil means never cancelled): once it
 // is done, no new evaluation starts, in-flight evaluations drain, and
-// the search unwinds by panicking with a *Cancelled — an Abort, so the
-// journal keeps the completed deterministic prefix and completed
-// siblings are salvaged. A resumed search replays that prefix and
-// finishes with a byte-identical journal.
-func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, opts Options) *Outcome {
-	log := opts.Log
-	if log == nil {
-		log = NewLog()
-	}
+// the search returns a *Cancelled. A stop raised by the evaluator — a
+// supervisor's circuit breaker — is returned the same way. Either stop
+// is an Abort: the journal keeps the completed deterministic prefix,
+// completed siblings are salvaged, and the returned Outcome holds the
+// log so far with Converged=false (no Minimal or Final). A resumed
+// search replays that prefix and finishes with a byte-identical
+// journal.
+func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, opts Options) (*Outcome, error) {
+	log := NewLog()
 	for k, ev := range opts.Salvaged {
 		log.SeedSalvaged(k, ev)
 	}
@@ -111,7 +106,7 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 	}
 	out := &Outcome{Log: log, Converged: true}
 	if len(atoms) == 0 {
-		return out
+		return out, nil
 	}
 
 	remaining := func() int {
@@ -143,7 +138,7 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 	// and returns per-candidate acceptance. Candidates beyond the
 	// budget are reported as not accepted and flip Converged off.
 	round := 0
-	runBatch := func(cands [][]int) []bool {
+	runBatch := func(cands [][]int) ([]bool, error) {
 		ok := make([]bool, len(cands))
 		n := len(cands)
 		if r := remaining(); n > r {
@@ -151,12 +146,14 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 			out.Converged = false
 		}
 		if n <= 0 {
-			return ok
+			return ok, nil
 		}
 		// Stop before proposing a new batch once the deadline has passed:
 		// the between-batch gate catches cancellations that arrive while
 		// no evaluation is in flight.
-		checkCancelled(ctx)
+		if c := checkCancelled(ctx); c != nil {
+			return nil, c
+		}
 		round++
 		rsp := opts.Span.Child(obs.SpanSearchRound)
 		rsp.AttrInt("round", int64(round))
@@ -170,7 +167,10 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 		for i := 0; i < n; i++ {
 			batch[i] = lowerAllBut(cands[i])
 		}
-		evs := batchEval(ctx, log, eval, batch, opts.Parallelism, rsp)
+		evs, err := batchEval(ctx, log, eval, batch, opts.Parallelism, rsp)
+		if err != nil {
+			return nil, err
+		}
 		for i, ev := range evs {
 			ok[i] = opts.Criteria.Accept(ev)
 		}
@@ -178,7 +178,10 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 			keyOf := func(i int) string { return lowerAllBut(cands[i]).Key() }
 			emitRoundDecisions(opts.Decisions, log, opts.Criteria, round, keyOf, len(cands), evs, ok, preEvals)
 		}
-		return ok
+		return ok, nil
+	}
+	stopped := func(err error) (*Outcome, error) {
+		return &Outcome{Log: log}, err
 	}
 
 	idx := make([]int, len(atoms))
@@ -191,11 +194,14 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 	// *is* the baseline and satisfies the criteria by definition; it is
 	// evaluated anyway so the log records it (as the paper's searches
 	// do).
-	first := runBatch([][]int{nil, idx})
+	first, err := runBatch([][]int{nil, idx})
+	if err != nil {
+		return stopped(err)
+	}
 	if first[0] {
 		out.Minimal = nil
 		out.Final, _ = log.Lookup(lowerAllBut(nil))
-		return out
+		return out, nil
 	}
 
 	// Batched ddmin (Zeller & Hildebrandt) over the stay-high set.
@@ -211,7 +217,10 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 				cands = append(cands, complement(cur, chunks[i]))
 			}
 		}
-		accepted := runBatch(cands)
+		accepted, err := runBatch(cands)
+		if err != nil {
+			return stopped(err)
+		}
 
 		pick := -1
 		for i, ok := range accepted {
@@ -234,7 +243,7 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 				if ev, okc := log.Lookup(lowerAllBut(cur)); okc {
 					out.Final = ev
 				}
-				return out
+				return out, nil
 			}
 			n = minInt(len(cur), 2*n)
 		}
@@ -243,7 +252,7 @@ func Precimonious(ctx context.Context, eval Evaluator, atoms []transform.Atom, o
 	if ev, okc := log.Lookup(lowerAllBut(cur)); okc {
 		out.Final = ev
 	}
-	return out
+	return out, nil
 }
 
 func atomNames(atoms []transform.Atom, idx []int) []string {
@@ -265,7 +274,9 @@ const MaxBruteForceAtoms = 24
 // in enumeration order. Atom counts above MaxBruteForceAtoms are
 // rejected rather than silently attempting an astronomically large (or,
 // after shift overflow, nonsensically sized) sweep. ctx cancels the
-// sweep like Precimonious: the unwind is a *Cancelled panic.
+// sweep like Precimonious: a stop — a *Cancelled or an evaluator's
+// Abort — is returned as the error, with the log of the completed
+// prefix.
 func BruteForce(ctx context.Context, eval Evaluator, atoms []transform.Atom, parallelism int) (*Log, error) {
 	n := len(atoms)
 	if n > MaxBruteForceAtoms {
@@ -284,6 +295,6 @@ func BruteForce(ctx context.Context, eval Evaluator, atoms []transform.Atom, par
 		}
 		batch[v] = a
 	}
-	batchEval(ctx, log, eval, batch, parallelism, nil)
-	return log, nil
+	_, err := batchEval(ctx, log, eval, batch, parallelism, nil)
+	return log, err
 }

@@ -50,13 +50,14 @@ func (s Status) String() string {
 	}
 }
 
-// Abort is implemented by panic values that represent a deliberate,
+// Abort is implemented by errors that represent a deliberate,
 // supervised termination of the search (a tripped circuit breaker, an
-// exhausted quarantine budget) rather than an uncontrolled crash. When a
-// batched evaluation is unwound by an Abort, completed sibling results
-// are salvaged into Log.Salvaged before the panic propagates, so
-// paid-for evaluations survive to the next resume instead of being
-// silently discarded.
+// exhausted quarantine budget, a cancellation) rather than an
+// uncontrolled crash. An evaluator raises one by panic, the only way
+// out of Evaluate; the batched evaluation layer recovers it, salvages
+// completed sibling results into Log.Salvaged, and returns it as the
+// search's error, so paid-for evaluations survive to the next resume
+// instead of being silently discarded.
 type Abort interface {
 	error
 	// SearchAbort describes why the search was terminated.
@@ -142,8 +143,8 @@ type Log struct {
 	cache map[string]*Evaluation
 
 	// Salvaged holds completed evaluations that could not be appended to
-	// Evals because a supervised abort unwound the batch before their
-	// deterministic slot was reached (an earlier slot panicked). They are
+	// Evals because a supervised abort stopped the batch before their
+	// deterministic slot was reached (an earlier slot stopped). They are
 	// recorded in batch order. A journal layer persists them out-of-band
 	// (see SetOnSalvage) so a resumed search serves them from the warm
 	// cache instead of paying for the evaluation again.

@@ -182,9 +182,12 @@ func TestPrecimoniousFindsCriticalSet(t *testing.T) {
 			"m.p.v17": true,
 		},
 	}
-	out := Precimonious(nil, fe, atoms, Options{
+	out, err := Precimonious(nil, fe, atoms, Options{
 		Criteria: Criteria{MaxRelError: 1e-3, MinSpeedup: 1.0},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	sort.Strings(out.Minimal)
 	if len(out.Minimal) != 2 || out.Minimal[0] != "m.p.v05" || out.Minimal[1] != "m.p.v17" {
 		t.Fatalf("Minimal = %v, want the two critical atoms", out.Minimal)
@@ -213,7 +216,10 @@ func TestPrecimoniousFindsCriticalSet(t *testing.T) {
 func TestPrecimoniousAllLowerable(t *testing.T) {
 	atoms := mkAtoms(10)
 	fe := &fakeEval{atoms: atoms, critical: map[string]bool{}}
-	out := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1, MinSpeedup: 1}})
+	out, err := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1, MinSpeedup: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Minimal) != 0 {
 		t.Fatalf("Minimal = %v, want empty (uniform 32-bit passes)", out.Minimal)
 	}
@@ -233,7 +239,10 @@ func TestPrecimoniousErrorStatusRejected(t *testing.T) {
 		atoms:   atoms,
 		fragile: map[string]bool{"m.p.v03": true},
 	}
-	out := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1, MinSpeedup: 1}})
+	out, err := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1, MinSpeedup: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Minimal) != 1 || out.Minimal[0] != "m.p.v03" {
 		t.Fatalf("Minimal = %v, want the fragile atom", out.Minimal)
 	}
@@ -246,10 +255,13 @@ func TestPrecimoniousErrorStatusRejected(t *testing.T) {
 func TestPrecimoniousBudget(t *testing.T) {
 	atoms := mkAtoms(40)
 	fe := &fakeEval{atoms: atoms, critical: map[string]bool{"m.p.v09": true, "m.p.v23": true, "m.p.v31": true}}
-	out := Precimonious(nil, fe, atoms, Options{
+	out, err := Precimonious(nil, fe, atoms, Options{
 		Criteria:       Criteria{MaxRelError: 1e-3, MinSpeedup: 1},
 		MaxEvaluations: 5,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Converged {
 		t.Error("budget-limited search reported convergence")
 	}
@@ -260,7 +272,10 @@ func TestPrecimoniousBudget(t *testing.T) {
 
 func TestPrecimoniousEmptyAtoms(t *testing.T) {
 	fe := &fakeEval{}
-	out := Precimonious(nil, fe, nil, Options{})
+	out, err := Precimonious(nil, fe, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out.Minimal != nil || out.Final != nil || !out.Converged {
 		t.Errorf("empty atoms: %+v", out)
 	}
@@ -271,7 +286,10 @@ func TestPrecimoniousRespectsMinSpeedup(t *testing.T) {
 	// variants are rejected and everything stays 64-bit.
 	atoms := mkAtoms(8)
 	fe := &fakeEval{atoms: atoms}
-	out := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1, MinSpeedup: 99}})
+	out, err := Precimonious(nil, fe, atoms, Options{Criteria: Criteria{MaxRelError: 1, MinSpeedup: 99}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(out.Minimal) != len(atoms) {
 		t.Fatalf("Minimal = %d atoms, want all %d", len(out.Minimal), len(atoms))
 	}
@@ -350,10 +368,14 @@ func TestParallelismInvariance(t *testing.T) {
 			critical: map[string]bool{"m.p.v05": true, "m.p.v17": true},
 			fragile:  map[string]bool{"m.p.v09": true},
 		}
-		return Precimonious(nil, fe, atoms, Options{
+		out, err := Precimonious(nil, fe, atoms, Options{
 			Criteria:    Criteria{MaxRelError: 1e-3, MinSpeedup: 1},
 			Parallelism: par,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
 	ref := runAt(1)
 	for _, par := range []int{2, 4, 16} {
@@ -383,7 +405,10 @@ func TestBatchEvalDeduplicates(t *testing.T) {
 	fe := &fakeEval{atoms: atoms}
 	log := NewLog()
 	a := transform.Uniform(atoms, 4)
-	evs := batchEval(nil, log, fe, []transform.Assignment{a, a.Clone(), transform.Uniform(atoms, 8)}, 3, nil)
+	evs, err := batchEval(nil, log, fe, []transform.Assignment{a, a.Clone(), transform.Uniform(atoms, 8)}, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if fe.calls.Load() != 2 {
 		t.Errorf("evaluator called %d times, want 2", fe.calls.Load())
 	}
