@@ -24,6 +24,7 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/resilience"
 	"repro/internal/search"
@@ -58,9 +59,11 @@ func main() {
 	}
 	sopts := experiments.Options{
 		JournalDir: *journalDir, Resume: *resume,
-		Retries: *retries, RetriesByClass: byClass,
-		Watchdog: *watchdog, Breaker: *breaker, HalfOpen: *halfOpen,
-		DrainGrace: *drainGrace,
+		Tune: core.Options{
+			Retries: *retries, RetriesByClass: byClass,
+			Watchdog: *watchdog, Breaker: *breaker, HalfOpen: *halfOpen,
+			DrainGrace: *drainGrace,
+		},
 	}
 
 	// The same deadline layers as prose tune: SIGINT/SIGTERM and

@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/fleet"
 )
 
 // TestMain lets this test binary stand in for the prose executable when
@@ -136,5 +141,48 @@ func TestTuneListenJournalMatchesInProcess(t *testing.T) {
 	}
 	if err := cmdJournal([]string{netPath}); err != nil {
 		t.Fatalf("journal summary: %v", err)
+	}
+}
+
+// TestListenHintJoinsCoordinator: the connect line `tune -listen`
+// prints must start a worker whose fingerprint matches the
+// coordinator's and which beats at the coordinator's -worker-heartbeat
+// (the coordinator drops a worker after HeartbeatMisses of its own
+// intervals of silence, so a worker at the default would be lost).
+func TestListenHintJoinsCoordinator(t *testing.T) {
+	var tuneOpts core.Options
+	fs := flag.NewFlagSet("tune", flag.ContinueOnError)
+	sf := newStreamFlags(fs, &tuneOpts)
+	heartbeat := fs.Duration("worker-heartbeat", fleet.DefaultHeartbeat, "")
+	if err := fs.Parse(strings.Fields("-model funarc -seed 3 -budget 5 -whole-model -worker-heartbeat 50ms")); err != nil {
+		t.Fatal(err)
+	}
+	hint := strings.Fields(sf.connectHint("127.0.0.1:7431", *heartbeat))
+	if len(hint) < 2 || hint[0] != "prose" || hint[1] != "worker" {
+		t.Fatalf("hint is not a prose worker command line: %q", hint)
+	}
+	wsf, nc, err := parseWorker(hint[2:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nc.Addr != "127.0.0.1:7431" {
+		t.Errorf("worker connects to %q", nc.Addr)
+	}
+	if nc.Heartbeat != 50*time.Millisecond {
+		t.Errorf("worker heartbeat %v, want the coordinator's 50ms", nc.Heartbeat)
+	}
+	fingerprint := func(sf streamFlags) string {
+		m, err := getModel(*sf.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tn, err := core.New(m, *sf.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn.Fingerprint()
+	}
+	if tf, wf := fingerprint(sf), fingerprint(wsf); tf != wf {
+		t.Errorf("worker fingerprint %.12s differs from the coordinator's %.12s", wf, tf)
 	}
 }

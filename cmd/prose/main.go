@@ -39,7 +39,6 @@ import (
 	"repro/internal/fleet"
 	ft "repro/internal/fortran"
 	"repro/internal/gptl"
-	"repro/internal/interp"
 	"repro/internal/journal"
 	"repro/internal/ledger"
 	"repro/internal/models"
@@ -233,30 +232,27 @@ func cmdAtoms(args []string) error {
 
 func cmdTune(args []string) error {
 	fs := flag.NewFlagSet("tune", flag.ExitOnError)
-	name := modelFlag(fs)
-	whole := fs.Bool("whole-model", false, "guide the search by whole-model time (paper IV-C)")
-	seed := fs.Int64("seed", 1, "seed for the Eq. (1) runtime-noise model")
-	budget := fs.Int("budget", 0, "max distinct variant evaluations (0 = model default)")
-	par := fs.Int("par", 1, "concurrent variant evaluations (results are identical at any level)")
-	journalPath := fs.String("journal", "", "crash-safe evaluation journal (append-only JSONL; checkpoint at <path>.ckpt, resilience events at <path>.events)")
-	resume := fs.Bool("resume", false, "replay an existing -journal to where it stopped, then continue")
-	retries := fs.Int("retries", 0, "retry transient evaluation-infrastructure faults up to N times (variant outcomes are never retried)")
-	breaker := fs.Int("breaker", 0, "fail fast after N consecutive hard infrastructure failures (0 = never; exit code 3)")
-	failfast := fs.Bool("failfast", false, "fail fast on the first hard infrastructure failure (same as -breaker 1)")
-	maxQuarantined := fs.Int("max-quarantined", 0, "abort once more than N distinct assignments are quarantined (0 = unlimited; exit code 4)")
-	backoff := fs.Duration("retry-backoff", 0, "base retry backoff (capped exponential with seeded jitter; 0 = default 100ms)")
+	var opts core.Options
+	sf := newStreamFlags(fs, &opts)
+	fs.IntVar(&opts.Parallelism, "par", 1, "concurrent variant evaluations (results are identical at any level)")
+	fs.StringVar(&opts.JournalPath, "journal", "", "crash-safe evaluation journal (append-only JSONL; checkpoint at <path>.ckpt, resilience events at <path>.events)")
+	fs.BoolVar(&opts.Resume, "resume", false, "replay an existing -journal to where it stopped, then continue")
+	fs.IntVar(&opts.Retries, "retries", 0, "retry transient evaluation-infrastructure faults up to N times (variant outcomes are never retried)")
+	fs.IntVar(&opts.Breaker, "breaker", 0, "fail fast after N consecutive hard infrastructure failures (0 = never; exit code 3)")
+	fs.BoolVar(&opts.FailFast, "failfast", false, "fail fast on the first hard infrastructure failure (same as -breaker 1)")
+	fs.IntVar(&opts.MaxQuarantined, "max-quarantined", 0, "abort once more than N distinct assignments are quarantined (0 = unlimited; exit code 4)")
+	fs.DurationVar(&opts.RetryBackoff, "retry-backoff", 0, "base retry backoff (capped exponential with seeded jitter; 0 = default 100ms)")
 	retriesByClass := fs.String("retries-by-class", "", "per-class retry budgets as kind=N,kind=N (kinds: generic, scheduler-kill, oom, hang; default with -retries N: scheduler-kill=2N, oom=max(1,N/2), hang=N)")
-	watchdog := fs.Duration("watchdog", 0, "abandon an evaluation attempt that produces no result within this wall-clock time and treat it as a transient infrastructure fault (0 = no watchdog)")
-	halfOpen := fs.Bool("breaker-halfopen", false, "after the breaker trips, probe one evaluation (instead of aborting) and resume the search if it succeeds")
+	fs.DurationVar(&opts.Watchdog, "watchdog", 0, "abandon an evaluation attempt that produces no result within this wall-clock time and treat it as a transient infrastructure fault (0 = no watchdog)")
+	fs.BoolVar(&opts.HalfOpen, "breaker-halfopen", false, "after the breaker trips, probe one evaluation (instead of aborting) and resume the search if it succeeds")
 	wallBudget := fs.Duration("wall-budget", 0, "stop the whole run in an orderly fashion after this wall-clock time (exit code 5, journal stays resumable; 0 = unlimited)")
-	drainGrace := fs.Duration("drain-grace", 0, "after a stop (signal or -wall-budget), let in-flight evaluations keep running this long before hard-cancelling them (0 = drain to completion)")
+	fs.DurationVar(&opts.DrainGrace, "drain-grace", 0, "after a stop (signal or -wall-budget), let in-flight evaluations keep running this long before hard-cancelling them (0 = drain to completion)")
 	tracePath := fs.String("trace", "", "write a span trace to this file (Chrome trace_event JSON; analyze with 'prose trace' or chrome://tracing)")
 	debugAddr := fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics and /debug/pprof on this address for the duration of the run (e.g. localhost:6060)")
 	progressEvery := fs.Duration("progress", 0, "print a live progress heartbeat to stderr at this interval (0 = off)")
-	numericsOn := fs.Bool("numerics", false, "shadow-execute every variant and attach numeric_* diagnostics to spans and metrics (diagnostic only: journal bytes unchanged)")
-	ledgerDir := fs.String("ledger", "", "archive this run's manifest into the run ledger at DIR (inspect with 'prose runs' / 'prose compare'); with -journal, also streams decision telemetry to <journal>.decisions")
-	decisionsPath := fs.String("decisions", "", "stream per-round search-decision telemetry to this file (byte-stable across -par and -resume; journal bytes unchanged)")
-	engineName := fs.String("engine", "vm", "interpreter engine: vm (closure-compiled, default) or ast (reference tree-walker); bit-identical results either way")
+	fs.BoolVar(&opts.Numerics, "numerics", false, "shadow-execute every variant and attach numeric_* diagnostics to spans and metrics (diagnostic only: journal bytes unchanged)")
+	fs.StringVar(&opts.LedgerDir, "ledger", "", "archive this run's manifest into the run ledger at DIR (inspect with 'prose runs' / 'prose compare'); with -journal, also streams decision telemetry to <journal>.decisions")
+	fs.StringVar(&opts.DecisionPath, "decisions", "", "stream per-round search-decision telemetry to this file (byte-stable across -par and -resume; journal bytes unchanged)")
 	workers := fs.Int("workers", 0, "shard variant evaluation across N 'prose worker' subprocesses (0 = in-process); worker crashes become supervised retries and the journal stays byte-identical")
 	leaseTTL := fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "fleet: wall-clock budget per leased evaluation; an expired lease is failed as a hang fault and reassigned")
 	workerHeartbeat := fs.Duration("worker-heartbeat", fleet.DefaultHeartbeat, "fleet: worker heartbeat interval (a silent worker is declared lost and replaced)")
@@ -277,11 +273,7 @@ func cmdTune(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine, err := interp.ParseEngine(*engineName)
-	if err != nil {
-		return fmt.Errorf("tune: %w", err)
-	}
-	if *resume && *journalPath == "" {
+	if opts.Resume && opts.JournalPath == "" {
 		return fmt.Errorf("tune: -resume requires -journal")
 	}
 	byClass, err := resilience.ParseRetryBudgets(*retriesByClass)
@@ -289,33 +281,24 @@ func cmdTune(args []string) error {
 		return fmt.Errorf("tune: -retries-by-class: %w", err)
 	}
 	if byClass == nil {
-		byClass = resilience.DefaultRetryBudgets(*retries)
+		byClass = resilience.DefaultRetryBudgets(opts.Retries)
 	}
-	m, err := getModel(*name)
+	opts.RetriesByClass = byClass
+	m, err := getModel(*sf.model)
 	if err != nil {
 		return err
 	}
-	opts := core.Options{
-		Seed: *seed, WholeModel: *whole, MaxEvaluations: *budget,
-		Parallelism: *par, JournalPath: *journalPath, Resume: *resume,
-		Retries: *retries, Breaker: *breaker, FailFast: *failfast,
-		MaxQuarantined: *maxQuarantined, RetryBackoff: *backoff,
-		RetriesByClass: byClass, Watchdog: *watchdog,
-		HalfOpen: *halfOpen, DrainGrace: *drainGrace,
-		Numerics: *numericsOn, Engine: engine,
-		LedgerDir: *ledgerDir, DecisionPath: *decisionsPath,
-	}
-	if opts.LedgerDir != "" && opts.DecisionPath == "" && *journalPath != "" {
-		opts.DecisionPath = ledger.DecisionPath(*journalPath)
+	if opts.LedgerDir != "" && opts.DecisionPath == "" && opts.JournalPath != "" {
+		opts.DecisionPath = ledger.DecisionPath(opts.JournalPath)
 	}
 	// Observability is strictly out-of-band: neither the tracer nor the
 	// registry is part of the run fingerprint, and enabling them must
 	// not change a single journal byte (test-enforced).
-	if *tracePath != "" || *debugAddr != "" || *progressEvery > 0 || *numericsOn || *ledgerDir != "" {
+	if *tracePath != "" || *debugAddr != "" || *progressEvery > 0 || opts.Numerics || opts.LedgerDir != "" {
 		opts.Metrics = obs.NewRegistry()
 	}
 	if *tracePath != "" {
-		opts.Trace = obs.NewTracer(fmt.Sprintf("model=%s seed=%d", m.Name, *seed))
+		opts.Trace = obs.NewTracer(fmt.Sprintf("model=%s seed=%d", m.Name, opts.Seed))
 	}
 	if *verbose {
 		opts.Progress = func(ev *search.Evaluation) {
@@ -346,11 +329,10 @@ func cmdTune(args []string) error {
 	}()
 
 	// -workers: build the worker fleet. The subprocesses are this very
-	// binary running `prose worker` with the flags that shape the
-	// evaluation stream (model, seed, whole-model, budget, engine); a
-	// fingerprint handshake at spawn rejects any drift. Fleet knobs, like
-	// parallelism, are not fingerprinted — the journal is byte-identical
-	// at any pool size.
+	// binary running `prose worker` with the stream flags (see
+	// streamFlags); a fingerprint handshake at spawn rejects any drift.
+	// Fleet knobs, like parallelism, are not fingerprinted — the journal
+	// is byte-identical at any pool size.
 	var coord *fleet.Coordinator
 	if *listen != "" && *workers == 0 {
 		return fmt.Errorf("tune: -listen needs -workers N (the expected pool size)")
@@ -394,23 +376,14 @@ func cmdTune(args []string) error {
 				}
 			}
 			fcfg.Net = ncfg
-			fmt.Fprintf(os.Stderr, "prose: fleet listening on %s for %d worker(s); connect with: prose worker -connect %s -model %s -seed %d\n",
-				ln.Addr(), *workers, ln.Addr(), m.Name, *seed)
+			fmt.Fprintf(os.Stderr, "prose: fleet listening on %s for %d worker(s); connect with: %s\n",
+				ln.Addr(), *workers, sf.connectHint(ln.Addr().String(), *workerHeartbeat))
 		} else {
 			exe, xerr := os.Executable()
 			if xerr != nil {
 				return fmt.Errorf("tune: -workers: %w", xerr)
 			}
-			wargs := []string{"worker",
-				"-model", m.Name,
-				fmt.Sprintf("-seed=%d", *seed),
-				fmt.Sprintf("-budget=%d", *budget),
-				"-engine", *engineName,
-				fmt.Sprintf("-heartbeat=%s", *workerHeartbeat),
-			}
-			if *whole {
-				wargs = append(wargs, "-whole-model")
-			}
+			wargs := append([]string{"worker"}, sf.workerArgs(*workerHeartbeat)...)
 			if *fleetKillRate > 0 {
 				wargs = append(wargs,
 					fmt.Sprintf("-fault-kill-rate=%g", *fleetKillRate),
@@ -477,7 +450,7 @@ func cmdTune(args []string) error {
 	// exit status so scripts notice the search did not finish.
 	if res.Resumed > 0 {
 		fmt.Printf("resumed: %d evaluation(s) replayed from %s, %d run fresh\n",
-			res.Resumed, *journalPath, len(res.Outcome.Log.Evals)-res.Resumed)
+			res.Resumed, opts.JournalPath, len(res.Outcome.Log.Evals)-res.Resumed)
 	}
 	fmt.Print(res.Render())
 	return err

@@ -149,13 +149,15 @@ type Options struct {
 	// (test-enforced by TestNumericsDoesNotPerturbJournal).
 	Numerics bool
 
-	// Engine selects the interpreter execution engine for every run the
+	// Engine is the differential-test oracle hook for every run the
 	// tuner makes (baseline, uniform-32 build, variants). The zero value
-	// (interp.EngineVM) is the compiled engine; interp.EngineAST keeps
-	// the reference tree-walker. Deliberately not fingerprinted: the two
-	// engines are bit-for-bit equivalent by contract, so a journal
-	// recorded under one engine resumes byte-identically under the other
-	// (test-enforced by TestEngineJournalByteIdentity).
+	// (interp.EngineVM) is the compiled engine, the only one a command
+	// runs; interp.EngineAST, the reference tree-walker, is set only by
+	// the cross-engine tests and the benchmark's reference generator.
+	// Deliberately not fingerprinted: the two engines are bit-for-bit
+	// equivalent by contract, so a journal recorded under one engine
+	// resumes byte-identically under the other (test-enforced by
+	// TestEngineJournalByteIdentity).
 	Engine interp.Engine
 
 	// DecisionPath, if non-empty, streams the search's per-round decision
@@ -170,9 +172,9 @@ type Options struct {
 	DecisionPath string
 	// LedgerDir, if non-empty, archives the run into the content-
 	// addressed run ledger at this directory when Run returns: a
-	// manifest carrying the fingerprint, machine, engine, result
-	// summary, final metrics snapshot (with histogram quantiles), fleet
-	// stats, and the decision-log digest. See internal/ledger and
+	// manifest carrying the fingerprint, machine, result summary, final
+	// metrics snapshot (with histogram quantiles), fleet stats, and the
+	// decision-log digest. See internal/ledger and
 	// `prose runs` / `prose compare`.
 	LedgerDir string
 
@@ -1287,7 +1289,6 @@ func (t *Tuner) buildManifest(res *Result, start time.Time, dlog *ledger.Decisio
 		// The machine *name* is for humans; the full parameter signature
 		// is already folded into the fingerprint above.
 		Machine:     t.machine.Name,
-		Engine:      t.opts.Engine.String(),
 		Seed:        t.opts.Seed,
 		WholeModel:  t.opts.WholeModel,
 		Budget:      budget,

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/models"
@@ -38,15 +37,11 @@ type Options struct {
 	JournalDir string
 	// Resume replays the existing journals in JournalDir.
 	Resume bool
-	// Supervisor knobs, forwarded to every search (see core.Options).
-	Retries        int
-	RetriesByClass map[string]int
-	Watchdog       time.Duration
-	Breaker        int
-	HalfOpen       bool
-	MaxQuarantined int
-	// DrainGrace bounds in-flight evaluation drain after ctx cancels.
-	DrainGrace time.Duration
+	// Tune holds the options every search starts from: the supervisor
+	// settings (Retries, RetriesByClass, Watchdog, Breaker, HalfOpen,
+	// MaxQuarantined) and DrainGrace. The suite sets Seed, Parallelism,
+	// WholeModel, JournalPath and Resume itself.
+	Tune core.Options
 }
 
 // RunSuite executes the four searches of the case study (the artifact's
@@ -60,13 +55,9 @@ func RunSuite(ctx context.Context, seed int64) (*Suite, error) {
 func RunSuiteOpts(ctx context.Context, seed int64, sopts Options) (*Suite, error) {
 	par := suiteParallelism()
 	build := func(whole bool, journalName string) core.Options {
-		o := core.Options{
-			Seed: seed, Parallelism: par, WholeModel: whole,
-			Retries: sopts.Retries, RetriesByClass: sopts.RetriesByClass,
-			Watchdog: sopts.Watchdog, Breaker: sopts.Breaker,
-			HalfOpen: sopts.HalfOpen, MaxQuarantined: sopts.MaxQuarantined,
-			DrainGrace: sopts.DrainGrace,
-		}
+		o := sopts.Tune
+		o.Seed, o.Parallelism, o.WholeModel = seed, par, whole
+		o.JournalPath, o.Resume = "", false
 		if sopts.JournalDir != "" {
 			o.JournalPath = filepath.Join(sopts.JournalDir, journalName)
 			o.Resume = sopts.Resume

@@ -861,16 +861,12 @@ func (c *compiler) unIntrinsic(e *ft.CallExpr, kind int, cls perfmodel.OpClass, 
 	}
 }
 
-func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
+// arrayIntrinsic compiles the intrinsics that take whole-array
+// arguments (size, sum/minval/maxval, dot_product); it returns nil for
+// any other intrinsic.
+func (c *compiler) arrayIntrinsic(e *ft.CallExpr) vexpr {
 	name := e.Intrinsic
-	kind := e.Typ.Kind
-	if e.Typ.Base != ft.TReal {
-		kind = 4
-	}
 	pos := e.Pos
-
-	// Array-argument intrinsics first (they must not evaluate the array
-	// as a scalar expression).
 	switch name {
 	case "size":
 		a0 := c.argArrayGet(e.Args[0])
@@ -928,6 +924,31 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 			return m.dot(a, b, kk, pos, rs)
 		}
 	}
+	return nil
+}
+
+// exprs compiles each argument expression, in order.
+func (c *compiler) exprs(args []ft.Expr) []vexpr {
+	out := make([]vexpr, len(args))
+	for k, a := range args {
+		out[k] = c.expr(a)
+	}
+	return out
+}
+
+// intrinsic compiles a call to an intrinsic function.
+func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
+	// Array-argument intrinsics first (they must not evaluate the array
+	// as a scalar expression).
+	if ae := c.arrayIntrinsic(e); ae != nil {
+		return ae
+	}
+	name := e.Intrinsic
+	kind := e.Typ.Kind
+	if e.Typ.Base != ft.TReal {
+		kind = 4
+	}
+	pos := e.Pos
 
 	switch name {
 	case "abs":
@@ -1085,10 +1106,7 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 			return v, nil
 		}
 	case "min", "max":
-		argEs := make([]vexpr, len(e.Args))
-		for k, a := range e.Args {
-			argEs[k] = c.expr(a)
-		}
+		argEs := c.exprs(e.Args)
 		costN := c.cost(perfmodel.OpSimple, kind) * float64(len(argEs)-1)
 		isMin := name == "min"
 		isInt := e.Typ.Base == ft.TInteger
@@ -1195,10 +1213,7 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 			return v, nil
 		}
 	case "epsilon", "huge", "tiny":
-		argEs := make([]vexpr, len(e.Args))
-		for k, a := range e.Args {
-			argEs[k] = c.expr(a)
-		}
+		argEs := c.exprs(e.Args)
 		var cv Value
 		switch name {
 		case "epsilon":
@@ -1240,10 +1255,7 @@ func (c *compiler) intrinsic(e *ft.CallExpr) vexpr {
 			return logicalValue(math.IsNaN(x.asFloat())), nil
 		}
 	default:
-		argEs := make([]vexpr, len(e.Args))
-		for k, a := range e.Args {
-			argEs[k] = c.expr(a)
-		}
+		argEs := c.exprs(e.Args)
 		err := &RunError{Pos: pos, Kind: FailInternal,
 			Msg: fmt.Sprintf("unknown intrinsic %q", name)}
 		return func(m *vm, fr *vframe) (Value, error) {

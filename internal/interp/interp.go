@@ -96,19 +96,22 @@ type Config struct {
 	// failure behaviour (test-enforced), and nil keeps the hot path
 	// allocation-free.
 	Numerics *numerics.Recorder
-	// Engine selects the evaluator: the closure-compiled VM (default)
-	// or the reference tree-walker. Strictly an implementation choice —
-	// results, cycles, steps, recorder traces, and journals are
-	// bit-for-bit identical across engines (test-enforced) — so the
-	// engine is never part of a journal fingerprint.
+	// Engine is the differential-test oracle hook: the zero value runs
+	// the closure-compiled VM, and EngineAST runs the reference
+	// tree-walker instead. The differential tests and the benchmark's
+	// reference generator set it; no command does. Results, cycles,
+	// steps, recorder traces and journals are bit-for-bit identical
+	// across engines (test-enforced), so the engine is never part of a
+	// journal fingerprint.
 	Engine Engine
 }
 
-// Engine selects how a run executes the checked AST.
+// Engine selects how a run executes the checked AST. Only tests and
+// the benchmark's reference generator choose one; production runs the
+// VM.
 type Engine int
 
-// Engines. The zero value is the VM so existing constructors get the
-// fast path without opting in.
+// Engines. The zero value is the VM, the only engine a command runs.
 const (
 	// EngineVM compiles the program to typed closures over unboxed
 	// slot storage at New time and runs those (see docs/interpreter.md).
@@ -123,18 +126,6 @@ func (e Engine) String() string {
 		return "ast"
 	}
 	return "vm"
-}
-
-// ParseEngine parses an -engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "vm":
-		return EngineVM, nil
-	case "ast":
-		return EngineAST, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want vm or ast)", s)
-	}
 }
 
 // Result summarizes a completed run.

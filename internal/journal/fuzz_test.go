@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -123,6 +124,49 @@ func FuzzEventsParse(f *testing.F) {
 		h2, recs2, err2 := parseEvents(append(bytes.Clone(data), tornTail(tail)...))
 		if (err == nil) != (err2 == nil) || h != h2 || !reflect.DeepEqual(recs, recs2) {
 			t.Fatalf("torn tail changed the parse: (%v, %d recs) vs (%v, %d recs)", err, len(recs), err2, len(recs2))
+		}
+	})
+}
+
+// FuzzLoadCheckpoint: LoadCheckpoint never panics, a rejected
+// checkpoint is reported as not loaded with no state, and an accepted
+// one survives SaveCheckpoint and a reload unchanged. (A checkpoint is
+// replaced by atomic rename, so it has no torn tail to tolerate.)
+func FuzzLoadCheckpoint(f *testing.F) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "funarc.jsonl.ckpt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{raw, raw[:len(raw)/2], flipByte(raw, len(raw)/3), {}, []byte("{}"), []byte("null"), []byte(`{"minimal":[]}`)} {
+		f.Add(seed)
+	}
+	dir := f.TempDir()
+	path, resaved := filepath.Join(dir, "w.jsonl.ckpt"), filepath.Join(dir, "resaved.ckpt")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, ok, err := LoadCheckpoint(path)
+		if err != nil {
+			if ok || !reflect.DeepEqual(c, Checkpoint{}) {
+				t.Fatalf("rejected checkpoint returned ok=%v, %+v", ok, c)
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("an existing checkpoint file reported as missing")
+		}
+		if err := SaveCheckpoint(resaved, c); err != nil {
+			t.Fatal(err)
+		}
+		c2, ok2, err := LoadCheckpoint(resaved)
+		if err != nil || !ok2 {
+			t.Fatalf("reloading a saved checkpoint: ok=%v, %v", ok2, err)
+		}
+		a, _ := json.Marshal(c)
+		b, _ := json.Marshal(c2)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("checkpoint changed across save and reload:\n%s\n%s", a, b)
 		}
 	})
 }

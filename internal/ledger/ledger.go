@@ -18,7 +18,7 @@
 //     kill/-resume cycles, and it never touches the byte-deterministic
 //     evaluation journal.
 //   - Ledger archives one content-addressed Manifest per run (program +
-//     options fingerprint, machine, engine, fleet shape, final metrics
+//     options fingerprint, machine, fleet shape, final metrics
 //     snapshot with quantiles, decision-log digest, result summary)
 //     under an indexed directory that accumulates across runs.
 //   - Compare and Funnel analyze archived runs: speedup/error/evals/
@@ -217,9 +217,10 @@ func (dl *DecisionLog) Close() error {
 	return dl.err
 }
 
-// ReadDecisionLog reads a decision log back. A torn tail — a partial
-// last line from a killed run — is tolerated and simply ends the
-// stream; an empty or headerless file is an error, never a panic.
+// ReadDecisionLog reads a decision log back. A torn tail — a final line
+// with no newline, from a killed run — is tolerated and simply ends the
+// stream. An empty or headerless file, and a complete line that does
+// not decode, are errors, never a panic.
 func ReadDecisionLog(path string) (DecisionHeader, []DecisionEvent, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -241,10 +242,10 @@ func ReadDecisionLog(path string) (DecisionHeader, []DecisionEvent, error) {
 	var evs []DecisionEvent
 	for {
 		line, err := readLine(r)
-		if line != "" {
+		if strings.TrimSpace(line) != "" {
 			var ev DecisionEvent
 			if jerr := json.Unmarshal([]byte(line), &ev); jerr != nil {
-				break // torn tail: keep the complete prefix
+				return DecisionHeader{}, nil, fmt.Errorf("ledger: %s: bad event %d: %w", path, len(evs)+1, jerr)
 			}
 			evs = append(evs, ev)
 		}

@@ -121,6 +121,27 @@ func TestReadDecisionLogGraceful(t *testing.T) {
 	}
 }
 
+// TestReadDecisionLogRejectsCorruptEvent: a complete line that does
+// not decode is corruption, not a torn tail, so the read fails instead
+// of silently dropping that event and every one after it.
+func TestReadDecisionLogRejectsCorruptEvent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "d.jsonl")
+	writeSampleLog(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	lines[2] = "{not json\n" // the second event
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, evs, err := ReadDecisionLog(path)
+	if err == nil || !strings.Contains(err.Error(), "bad event 2") {
+		t.Fatalf("corrupt event: got %d events, err %v; want a bad event 2 error", len(evs), err)
+	}
+}
+
 func TestCanonicalJSON(t *testing.T) {
 	type S struct {
 		Zeta  int     `json:"zeta"`
@@ -150,7 +171,7 @@ func TestCanonicalJSON(t *testing.T) {
 func sampleManifest(speedup float64, evals int) *Manifest {
 	return &Manifest{
 		Kind: ManifestKind, V: ManifestVersion,
-		Model: "funarc", Fingerprint: "fp-1", Machine: "m", Engine: "vm",
+		Model: "funarc", Fingerprint: "fp-1", Machine: "m",
 		StartUnixNS: int64(evals) * 1e9, WallMS: 100,
 		Outcome: "completed", Converged: true,
 		Evaluations: evals, TotalAtoms: 8, MinimalAtoms: 1,
